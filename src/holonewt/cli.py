@@ -66,7 +66,8 @@ def _get(doc, key, kind, default=None, required=False):
     value = doc[key]
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
-    if not isinstance(value, kind):
+    # bool is a subclass of int, but JSON true/false is never a number
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise ConfigError(f"config key {key!r} should be {kind.__name__}, got {type(value).__name__}")
     return value
 

@@ -99,11 +99,18 @@ def fd_cogradient(topology, weights, dataset, p, cfg=FDConfig()):
     return np.conj(np.array(d_w)).astype(complex)
 
 
-def _real_hessian_blocks(topology, weights, dataset, p, cfg):
-    """(E_xx, E_xy, E_yy) blocks of the real-coordinate FD Hessian."""
-    h_rr = fd_real_hessian(topology, weights, dataset, p, cfg)
+def _real_hessian_blocks(h_rr):
+    """(E_xx, E_xy, E_yy) blocks of a real-coordinate Hessian."""
     n = h_rr.shape[0] // 2
     return h_rr[:n, :n], h_rr[:n, n:], h_rr[n:, n:]
+
+
+def _wirtinger_hessians(h_rr):
+    """(H_ww, H_wbar_w) recombined from a real-coordinate Hessian."""
+    a, b, d = _real_hessian_blocks(h_rr)
+    h_ww = 0.25 * ((a + d) + 1j * (b.T - b))
+    h_wbar_w = 0.25 * ((a - d) + 1j * (b.T + b))
+    return h_ww, h_wbar_w
 
 
 def fd_hessians(topology, weights, dataset, p, cfg=FDConfig()):
@@ -119,10 +126,7 @@ def fd_hessians(topology, weights, dataset, p, cfg=FDConfig()):
       H_ww       = ((E_xx + E_yy) + i (E_xy^T - E_xy)) / 4
       H_wbar_w   = ((E_xx - E_yy) + i (E_xy^T + E_xy)) / 4
     """
-    a, b, d = _real_hessian_blocks(topology, weights, dataset, p, cfg)
-    h_ww = 0.25 * ((a + d) + 1j * (b.T - b))
-    h_wbar_w = 0.25 * ((a - d) + 1j * (b.T + b))
-    return h_ww, h_wbar_w
+    return _wirtinger_hessians(fd_real_hessian(topology, weights, dataset, p, cfg))
 
 
 def fd_hessians_conj(topology, weights, dataset, p, cfg=FDConfig()):
@@ -131,7 +135,7 @@ def fd_hessians_conj(topology, weights, dataset, p, cfg=FDConfig()):
     These differentiate (dE/dwbar)* instead of (dE/dw)*, which flips the
     sign of the imaginary recombination relative to fd_hessians.
     """
-    a, b, d = _real_hessian_blocks(topology, weights, dataset, p, cfg)
+    a, b, d = _real_hessian_blocks(fd_real_hessian(topology, weights, dataset, p, cfg))
     h_w_wbar = 0.25 * ((a - d) - 1j * (b.T + b))
     h_wbar_wbar = 0.25 * ((a + d) - 1j * (b.T - b))
     return h_w_wbar, h_wbar_wbar
@@ -190,7 +194,9 @@ def verify_report(topology, weights, dataset, cfg=FDConfig(), with_quadratic_for
     both Hessian blocks, plus the relative mismatch of the real-coordinate
     quadratic form along a deterministic direction.  Hessian errors are
     normalized by the larger of the two FD block norms so a structurally
-    zero block does not divide by its own noise.
+    zero block does not divide by its own noise.  Each layer's
+    real-coordinate FD Hessian is estimated once and serves both the
+    Hessian blocks and the quadratic form.
     """
     from . import newton
     from .gradient import cogradient_conj
@@ -201,7 +207,8 @@ def verify_report(topology, weights, dataset, cfg=FDConfig(), with_quadratic_for
         cog = cogradient_conj(deltas.deltas[p - 1], deltas.trace, p)
         h_ww, h_wbar_w = newton.hessian_pair(deltas, p)
         fd_cog = fd_cogradient(topology, weights, dataset, p, cfg)
-        fd_ww, fd_wbar_w = fd_hessians(topology, weights, dataset, p, cfg)
+        h_rr = fd_real_hessian(topology, weights, dataset, p, cfg)
+        fd_ww, fd_wbar_w = _wirtinger_hessians(h_rr)
         h_scale = max(np.linalg.norm(fd_ww), np.linalg.norm(fd_wbar_w))
         entry = {
             "layer": p,
@@ -214,7 +221,6 @@ def verify_report(topology, weights, dataset, cfg=FDConfig(), with_quadratic_for
             n = topology.layer_size(p)
             v = rng.uniform(-1, 1, size=(n, 2)) @ np.array([1, 1j])
             analytic = real_quadratic_form(h_ww, h_wbar_w, v)
-            h_rr = fd_real_hessian(topology, weights, dataset, p, cfg)
             vr = np.concatenate([v.real, v.imag])
             reference = float(vr @ h_rr @ vr)
             entry["quadratic_form_rel"] = relative_error(analytic, reference)

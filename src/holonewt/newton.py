@@ -8,7 +8,8 @@ per-sample node-pair tables:
 
   * curvature[t, j, b] scales conj(x_i) x_a to build H_ww,
   * residual_curvature[t, j] (a diagonal) and conj_curvature[t, j, b]
-    together scale conj(x_i) conj(x_a) to build H_wbar_w.
+    together scale conj(x_i) conj(x_a) to build H_wbar_w; their sum is
+    the conjugate-plus-residual table.
 
 At the output layer the curvature and residual tables are diagonal and
 the conjugate table vanishes, which makes both output-layer blocks block
@@ -19,6 +20,14 @@ per-node diagonal blocks: exact at the output layer, and the only
 well-posed choice at hidden layers, where the full matrix is singular
 by rank counting whenever sample count times output width is below the
 layer's weight count.
+
+Training never assembles H_ww or H_wbar_w.  It builds the node blocks
+straight from the table diagonals (node_blocks), solves all of a
+layer's nodes in one stacked elimination, and takes the steplength's
+quadratic forms from the tables (one_step_denominator).  The output
+layer's tables stay diagonal (N, K) arrays there.  Full assembly
+(hessian_pair over backward_tables) is the reference that `verify` and
+the tests compare against.
 """
 
 from dataclasses import dataclass
@@ -36,6 +45,10 @@ __all__ = [
     "residual_curvature_hidden",
     "conj_curvature_output",
     "conj_curvature_hidden",
+    "conj_plus_residual",
+    "curvature_output_diagonal",
+    "node_blocks",
+    "one_step_denominator",
     "assemble_h_ww",
     "assemble_h_wbar_w",
     "BackwardTables",
@@ -54,22 +67,48 @@ def _diag_embed(vals):
     return out
 
 
-def curvature_output(topology, trace):
-    """(N, C, C) diagonal table g'(conj(net)) g'(net) at the output layer."""
+def _diagonal(table):
+    """Per-sample diagonals (N, K) of a node-pair table, full or diagonal."""
+    return table if table.ndim == 2 else np.diagonal(table, axis1=1, axis2=2)
+
+
+def _sandwich(left, table, right):
+    """left @ table[t] @ right for every sample t; a 2-d table holds diagonals."""
+    if table.ndim == 2:
+        return (left * table[:, None, :]) @ right
+    return left @ table @ right
+
+
+def _apply(table, u):
+    """table[t] @ u[t] for every sample t; a 2-d table holds diagonals."""
+    if table.ndim == 2:
+        return table * u
+    return (table @ u[:, :, None])[:, :, 0]
+
+
+def curvature_output_diagonal(topology, trace):
+    """(N, C) diagonal g'(conj(net)) g'(net) of the output-layer H_ww table."""
     act = topology.activation(topology.n_layers)
     net = trace.nets[-1]
-    return _diag_embed(act.d1(np.conj(net)) * act.d1(net))
+    return act.d1(np.conj(net)) * act.d1(net)
+
+
+def curvature_output(topology, trace):
+    """(N, C, C) diagonal table g'(conj(net)) g'(net) at the output layer."""
+    return _diag_embed(curvature_output_diagonal(topology, trace))
 
 
 def curvature_hidden(topology, trace, curv_next, w_next, p):
     """Propagate the H_ww table from layer p+1 back to layer p.
 
-    Note the asymmetric derivative pair: the row side evaluates g' at the
-    conjugated net sum, the column side at the unconjugated one.
+    `curv_next` is layer p+1's (N, K, K) table, or its (N, K) diagonal
+    when layer p+1 is the output layer.  Note the asymmetric derivative
+    pair: the row side evaluates g' at the conjugated net sum, the
+    column side at the unconjugated one.
     """
     act = topology.activation(p)
     net = trace.nets[p - 1]
-    core = np.einsum("ab,tac,cd->tbd", np.conj(w_next), curv_next, w_next)
+    core = _sandwich(np.conj(w_next).T, curv_next, w_next)
     return core * act.d1(np.conj(net))[:, :, None] * act.d1(net)[:, None, :]
 
 
@@ -91,17 +130,28 @@ def conj_curvature_output(topology, trace):
     return np.zeros((n, c, c), dtype=complex)
 
 
-def conj_curvature_hidden(topology, trace, conj_next, resid_next, w_next, p):
+def conj_plus_residual(conj_curv, resid_curv):
+    """The table that scales conj(x_i) conj(x_a) in H_wbar_w: the
+    conjugate table with the residual table added on its diagonal."""
+    table = conj_curv.copy()
+    idx = np.arange(table.shape[1])
+    table[:, idx, idx] += resid_curv
+    return table
+
+
+def conj_curvature_hidden(topology, trace, cplus_next, w_next, p):
     """Propagate the H_wbar_w table from layer p+1 back to layer p.
 
-    Both derivative factors evaluate g' at the conjugated net sums, and
-    the diagonal residual table of layer p+1 feeds the off-diagonal
-    entries of layer p through the conjugated weights.
+    `cplus_next` is layer p+1's conjugate-plus-residual table (see
+    conj_plus_residual), or its (N, K) diagonal, the residual table,
+    when layer p+1 is the output layer, where the conjugate table
+    vanishes.  Both derivative factors evaluate g' at the conjugated net
+    sums, so the diagonal residual table of layer p+1 feeds the
+    off-diagonal entries of layer p through the conjugated weights.
     """
     act = topology.activation(p)
     wc = np.conj(w_next)
-    core = np.einsum("ab,tac,cd->tbd", wc, conj_next, wc)
-    core += np.einsum("ab,ta,ad->tbd", wc, resid_next, wc)
+    core = _sandwich(wc.T, cplus_next, wc)
     d1c = act.d1(np.conj(trace.nets[p - 1]))
     return core * d1c[:, :, None] * d1c[:, None, :]
 
@@ -119,10 +169,41 @@ def assemble_h_wbar_w(conj_curv_p, resid_curv_p, trace, p):
     """H_wbar_w[(j,i),(b,a)] = mean_t table[t,j,b] conj(x_i) conj(x_a)."""
     x = np.conj(trace.values[p - 1])
     n = x.shape[0]
-    table = conj_curv_p + _diag_embed(resid_curv_p)
+    table = conj_plus_residual(conj_curv_p, resid_curv_p)
     h = np.einsum("tjb,ti,ta->jiba", table, x, x) / n
     size = table.shape[1] * x.shape[1]
     return h.reshape(size, size)
+
+
+def node_blocks(curv_p, cplus_p, trace, p):
+    """The per-node diagonal blocks of H_ww and H_wbar_w, never assembling either.
+
+    Returns two (K_p, K_{p-1}, K_{p-1}) stacks with
+      A[j, i, a] = H_ww[(j,i),(j,a)]     = mean_t curvature[t,j,j] conj(x_i) x_a
+      G[j, i, a] = H_wbar_w[(j,i),(j,a)] = mean_t cplus[t,j,j] conj(x_i) conj(x_a)
+    from the diagonals of the curvature and conjugate-plus-residual
+    tables, full or diagonal.  This costs O(N K_p K_{p-1}^2) where the
+    assembled blocks cost O(N K_p^2 K_{p-1}^2).
+    """
+    x = trace.values[p - 1]
+    n = x.shape[0]
+    xc = np.conj(x)
+    a = np.einsum("tj,ti,ta->jia", _diagonal(curv_p), xc, x) / n
+    g = np.einsum("tj,ti,ta->jia", _diagonal(cplus_p), xc, xc) / n
+    return a, g
+
+
+def one_step_denominator(curv_p, cplus_p, trace, p, dw):
+    """Re{dw^H H_ww dw + dw^H H_wbar_w conj(dw)} from the tables alone.
+
+    With u_t = dW x_t, the layer's step applied to sample t, the two
+    quadratic forms are mean_t u_t^H C_t u_t and mean_t u_t^H T_t conj(u_t)
+    for the curvature table C and the conjugate-plus-residual table T.
+    """
+    x = trace.values[p - 1]
+    u = x @ dw.reshape(-1, x.shape[1]).T
+    form = np.vdot(u, _apply(curv_p, u)) + np.vdot(u, _apply(cplus_p, np.conj(u)))
+    return float(np.real(form)) / x.shape[0]
 
 
 @dataclass
@@ -154,7 +235,8 @@ def backward_tables(topology, weights, dataset):
         deltas[p - 1] = delta_hidden(topology, trace, deltas[p], w_next, p)
         curv[p - 1] = curvature_hidden(topology, trace, curv[p], w_next, p)
         resid[p - 1] = residual_curvature_hidden(topology, trace, deltas[p], w_next, p)
-        cconj[p - 1] = conj_curvature_hidden(topology, trace, cconj[p], resid[p], w_next, p)
+        cplus_next = conj_plus_residual(cconj[p], resid[p])
+        cconj[p - 1] = conj_curvature_hidden(topology, trace, cplus_next, w_next, p)
     return BackwardTables(topology, trace, deltas, curv, resid, cconj)
 
 
@@ -166,13 +248,33 @@ def hessian_pair(tables, p):
     return h_ww, h_wbar_w
 
 
-def _node_slices(n, n_nodes):
-    width = n // n_nodes
-    return [slice(j * width, (j + 1) * width) for j in range(n_nodes)]
+def _node_stack(h, n_nodes):
+    """(n_nodes, n, n) node blocks: a stack as given, or the diagonal
+    blocks of a full layer matrix."""
+    h = np.asarray(h)
+    if h.ndim == 3:
+        if h.shape[0] != n_nodes:
+            raise ValueError(f"stack of {h.shape[0]} node blocks for {n_nodes} nodes")
+        return h
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError(f"expected a square matrix or a node-block stack, got shape {h.shape}")
+    if n_nodes < 1 or h.shape[0] % n_nodes:
+        raise ValueError(f"{h.shape[0]} weights do not split evenly over {n_nodes} nodes")
+    n = h.shape[0] // n_nodes
+    return np.einsum("jajb->jab", h.reshape(n_nodes, n, n_nodes, n))
+
+
+def _node_rows(cograd_conj, blocks):
+    """The flat cogradient as one (n_nodes, n) row per node."""
+    v = np.asarray(cograd_conj)
+    k, n, _ = blocks.shape
+    if v.shape != (k * n,):
+        raise ValueError(f"cogradient of shape {v.shape} for {k} node blocks of size {n}")
+    return v.reshape(k, n)
 
 
 def newton_update(h_ww, h_wbar_w, cograd_conj, n_nodes=1):
-    """Solve the coupled Newton system for the weight step, node by node.
+    """Solve the coupled Newton system for the weight step, on node blocks.
 
     Eliminating the conjugate half of the stacked (w, wbar) system gives
     a Schur complement in the w block:
@@ -187,31 +289,29 @@ def newton_update(h_ww, h_wbar_w, cograd_conj, n_nodes=1):
     curvature table has rank at most C per sample, so the full H_ww is
     rank-deficient whenever N*C is below the weight count (a 2-4-1 net
     on 4 samples caps it at rank 3 of 8) and the full solve would reject
-    every step; the diagonal blocks stay well conditioned.  Raises
-    SingularMatrix if any block solve breaks down.
+    every step; the diagonal blocks stay well conditioned.
+
+    `h_ww` and `h_wbar_w` are full layer matrices, whose `n_nodes`
+    diagonal blocks are used, or (n_nodes, n, n) node-block stacks as
+    node_blocks builds them.  All nodes are solved in one stacked
+    elimination.  Raises ValueError when the sizes do not split over the
+    nodes and SingularMatrix if any block solve breaks down.
     """
-    v = np.asarray(cograd_conj)
-    dw = np.empty_like(v)
-    for sl in _node_slices(v.size, n_nodes):
-        a = h_ww[sl, sl]
-        g = h_wbar_w[sl, sl]
-        stacked = np.column_stack([np.conj(g), np.conj(v[sl])])
-        sol = solve(np.conj(a), stacked)
-        t, u = sol[:, :-1], sol[:, -1]
-        schur = a - g @ t
-        rhs = g @ u - v[sl]
-        dw[sl] = solve(schur, rhs)
-    return dw
+    a = _node_stack(h_ww, n_nodes)
+    g = _node_stack(h_wbar_w, n_nodes)
+    v = _node_rows(cograd_conj, a)
+    sol = solve(np.conj(a), np.concatenate([np.conj(g), np.conj(v)[:, :, None]], axis=2))
+    t, u = sol[:, :, :-1], sol[:, :, -1:]
+    schur = a - g @ t
+    rhs = (g @ u)[:, :, 0] - v
+    return solve(schur, rhs).ravel()
 
 
 def pseudo_newton_update(h_ww, cograd_conj, n_nodes=1):
     """Newton step with the conjugate coupling dropped: H_ww dw = -(dE/dw)*.
 
-    Solved on the same per-node diagonal blocks as newton_update and for
-    the same reason.
+    Solved on the same per-node diagonal blocks as newton_update, which
+    takes the same forms of `h_ww`, for the same reason.
     """
-    v = np.asarray(cograd_conj)
-    dw = np.empty_like(v)
-    for sl in _node_slices(v.size, n_nodes):
-        dw[sl] = solve(h_ww[sl, sl], -v[sl])
-    return dw
+    a = _node_stack(h_ww, n_nodes)
+    return solve(a, -_node_rows(cograd_conj, a)).ravel()

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["StepConfig", "DegenerateStep", "one_step_mu", "apply_update"]
+__all__ = ["StepConfig", "DegenerateStep", "one_step_mu", "mu_from_denominator", "apply_update"]
 
 MODES = ("one_step_newton", "constant")
 
@@ -39,12 +39,20 @@ def one_step_mu(cograd_conj, dw, h_ww, h_wbar_w):
 
         mu = -Re{(dE/dw) dw} / Re{dw^H H_ww dw + dw^H H_wbar_w conj(dw)}
 
-    The row vector dE/dw is the conjugate transpose of `cograd_conj`.
+    from assembled Hessian blocks; the row vector dE/dw is the conjugate
+    transpose of `cograd_conj`.  See mu_from_denominator.
+    """
+    denominator = np.real(np.vdot(dw, h_ww @ dw) + np.vdot(dw, h_wbar_w @ np.conj(dw)))
+    return mu_from_denominator(cograd_conj, dw, denominator)
+
+
+def mu_from_denominator(cograd_conj, dw, denominator):
+    """one_step_mu given its denominator, however that was computed.
+
     Raises DegenerateStep when |denominator| < 1e-300; a negative or huge
     quotient is returned as-is for the caller to deal with.
     """
     numerator = -np.real(np.vdot(cograd_conj, dw))
-    denominator = np.real(np.vdot(dw, h_ww @ dw) + np.vdot(dw, h_wbar_w @ np.conj(dw)))
     if abs(denominator) < 1e-300:
         raise DegenerateStep(f"denominator {denominator!r}")
     return float(numerator / denominator)

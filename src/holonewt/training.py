@@ -30,18 +30,18 @@ from .gradient import cogradient_conj, delta_hidden, delta_output, gd_update
 from .linalg import SingularMatrix
 from .network import error_from_trace, forward, init_weights
 from .newton import (
-    assemble_h_ww,
-    assemble_h_wbar_w,
     conj_curvature_hidden,
-    conj_curvature_output,
+    conj_plus_residual,
     curvature_hidden,
-    curvature_output,
+    curvature_output_diagonal,
     newton_update,
+    node_blocks,
+    one_step_denominator,
     pseudo_newton_update,
     residual_curvature_hidden,
     residual_curvature_output,
 )
-from .steplength import DegenerateStep, StepConfig, apply_update, one_step_mu
+from .steplength import DegenerateStep, StepConfig, apply_update, mu_from_denominator
 
 __all__ = [
     "METHODS",
@@ -141,30 +141,32 @@ def _sweep_gradient(topology, weights, trace, targets, config):
 
 
 def _sweep_newton(topology, weights, trace, targets, config):
+    # curv and cplus are layer p's curvature and conjugate-plus-residual
+    # tables; at the output layer both are diagonal, (N, C)
     step = config.step
     for p in range(topology.n_layers, 0, -1):
         if p == topology.n_layers:
             delta = delta_output(topology, trace, targets)
-            curv = curvature_output(topology, trace)
-            resid = residual_curvature_output(topology, trace, targets)
-            cconj = conj_curvature_output(topology, trace)
+            curv = curvature_output_diagonal(topology, trace)
+            cplus = residual_curvature_output(topology, trace, targets)
         else:
             w_next = weights[p]
             delta, delta_up = delta_hidden(topology, trace, delta, w_next, p), delta
             curv = curvature_hidden(topology, trace, curv, w_next, p)
-            cconj = conj_curvature_hidden(topology, trace, cconj, resid, w_next, p)
-            resid = residual_curvature_hidden(topology, trace, delta_up, w_next, p)
+            cplus = conj_plus_residual(
+                conj_curvature_hidden(topology, trace, cplus, w_next, p),
+                residual_curvature_hidden(topology, trace, delta_up, w_next, p),
+            )
         cograd = cogradient_conj(delta, trace, p)
-        h_ww = assemble_h_ww(curv, trace, p)
-        h_wbar_w = assemble_h_wbar_w(cconj, resid, trace, p)
-        if not _finite(cograd, h_ww, h_wbar_w):
+        a, g = node_blocks(curv, cplus, trace, p)
+        if not _finite(cograd, curv, cplus, a, g):
             raise _NonFiniteSweep
         if config.method == "newton":
-            dw = newton_update(h_ww, h_wbar_w, cograd, topology.widths[p])
+            dw = newton_update(a, g, cograd, topology.widths[p])
         else:
-            dw = pseudo_newton_update(h_ww, cograd, topology.widths[p])
+            dw = pseudo_newton_update(a, cograd, topology.widths[p])
         if step.mode == "one_step_newton":
-            mu = one_step_mu(cograd, dw, h_ww, h_wbar_w)
+            mu = mu_from_denominator(cograd, dw, one_step_denominator(curv, cplus, trace, p, dw))
         else:
             mu = step.constant_mu
         apply_update(weights, p, dw, mu, step.omega)

@@ -94,6 +94,14 @@ class TestExitCodes:
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         assert "holonewt:" in capsys.readouterr().err
 
+    def test_boolean_for_integer_key_exits_1(self, tmp_path, capsys):
+        """JSON true is not an iteration budget of 1."""
+        path = write_config(tmp_path, trial={"max_iters": True})
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(path), "--out", str(out), "--seed", "12345"]) == 1
+        assert "'max_iters' should be int, got bool" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_file_exits_1(self, tmp_path, capsys):
         rc = main(["train", "--config", str(tmp_path / "no.json"), "--out", str(tmp_path)])
         assert rc == 1

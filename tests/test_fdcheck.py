@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from holonewt import Dataset, NetworkTopology, error, forward
+from holonewt import Dataset, NetworkTopology, error, forward, fdcheck
 from holonewt.fdcheck import (
     NonFiniteEvaluation,
     fd_cogradient,
@@ -149,3 +151,40 @@ def test_verify_report_structure_and_tolerances():
     assert report["max_h_ww_rel"] <= 1e-5
     assert report["max_h_wbar_w_rel"] <= 1e-5
     assert report["max_quadratic_form_rel"] <= 1e-4
+
+
+def test_verify_report_estimates_each_layer_hessian_once(monkeypatch):
+    """One real-coordinate FD Hessian per layer serves the Hessian blocks
+    and the quadratic form, and the report stays byte-identical to the
+    one built from fd_hessians plus a second fd_real_hessian."""
+    t, w, ds = random_instance((2, 3, 2), "sigmoid", 9)
+    tables = backward_tables(t, w, ds)
+    expected = {"layers": []}
+    for p in (1, 2):
+        h_ww, h_wbar_w = hessian_pair(tables, p)
+        fd_ww, fd_wbar_w = fd_hessians(t, w, ds, p)
+        h_scale = max(np.linalg.norm(fd_ww), np.linalg.norm(fd_wbar_w))
+        rng = np.random.Generator(np.random.PCG64(p))
+        v = rng.uniform(-1, 1, size=(t.layer_size(p), 2)) @ np.array([1, 1j])
+        vr = np.concatenate([v.real, v.imag])
+        reference = float(vr @ fd_real_hessian(t, w, ds, p) @ vr)
+        expected["layers"].append({
+            "layer": p,
+            "cogradient_rel": relative_error(
+                cogradient_conj(tables.deltas[p - 1], tables.trace, p), fd_cogradient(t, w, ds, p)
+            ),
+            "h_ww_rel": relative_error(h_ww, fd_ww, scale=h_scale),
+            "h_wbar_w_rel": relative_error(h_wbar_w, fd_wbar_w, scale=h_scale),
+            "quadratic_form_rel": relative_error(real_quadratic_form(h_ww, h_wbar_w, v), reference),
+        })
+    for key in ("cogradient_rel", "h_ww_rel", "h_wbar_w_rel", "quadratic_form_rel"):
+        expected[f"max_{key}"] = max(layer[key] for layer in expected["layers"])
+
+    layers = []
+    real_hessian = fdcheck.fd_real_hessian
+    monkeypatch.setattr(
+        fdcheck, "fd_real_hessian", lambda *args: layers.append(args[3]) or real_hessian(*args)
+    )
+    report = verify_report(t, w, ds)
+    assert layers == [1, 2]
+    assert json.dumps(report, indent=1, sort_keys=True) == json.dumps(expected, indent=1, sort_keys=True)

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from holonewt.linalg import SingularMatrix, conj_transpose, elementwise_conj, solve
+from holonewt.linalg import SingularMatrix, solve
+
+from helpers import complex_uniform
 
 
 def test_solve_identity():
@@ -40,6 +44,10 @@ def test_solve_rejects_shape_mismatch():
         solve(np.ones((2, 3)), np.ones(2))
     with pytest.raises(ValueError):
         solve(np.eye(2), np.ones(3))
+    with pytest.raises(ValueError):
+        solve(np.ones((2, 3, 3)), np.ones((3, 3)))
+    with pytest.raises(ValueError):
+        solve(np.ones((2, 2, 2, 2)), np.ones((2, 2, 2)))
 
 
 def test_solve_does_not_mutate_inputs():
@@ -76,24 +84,50 @@ def test_solve_pivoting_handles_zero_leading_entry():
     np.testing.assert_allclose(solve(a, np.array([2.0, 3.0])), [3, 2], atol=1e-15)
 
 
-def test_conj_transpose_examples():
-    np.testing.assert_array_equal(conj_transpose([[1j]]), [[-1j]])
-    sym = np.array([[1.0, 2.0], [2.0, 5.0]], dtype=complex)
-    np.testing.assert_array_equal(conj_transpose(sym), sym)
-    a = np.array([[1 + 1j, 2], [0, 3j]])
-    np.testing.assert_array_equal(conj_transpose(a), [[1 - 1j, 0], [2, -3j]])
+def dominant_stack(rng, blocks, n):
+    """Strictly diagonally dominant blocks: every one well conditioned."""
+    return complex_uniform(rng, (blocks, n, n)) + 2 * n * np.eye(n)
 
 
-def test_conj_transpose_involution():
-    rng = np.random.default_rng(5)
-    a = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
-    np.testing.assert_array_equal(conj_transpose(conj_transpose(a)), a)
+@settings(max_examples=60, deadline=None)
+@given(
+    blocks=st.integers(1, 6),
+    n=st.integers(1, 6),
+    rhs_cols=st.sampled_from([None, 1, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_solve_matches_per_block_numpy(blocks, n, rhs_cols, seed):
+    rng = np.random.default_rng(seed)
+    a = dominant_stack(rng, blocks, n)
+    shape = (blocks, n) if rhs_cols is None else (blocks, n, rhs_cols)
+    b = complex_uniform(rng, shape)
+    x = solve(a, b)
+    assert x.shape == b.shape
+    for j in range(blocks):
+        np.testing.assert_allclose(x[j], np.linalg.solve(a[j], b[j]), rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(solve(a[j], b[j]), x[j], rtol=1e-12, atol=1e-14)
 
 
-def test_elementwise_conj():
-    np.testing.assert_array_equal(elementwise_conj([1j, 1 - 1j]), [-1j, 1 + 1j])
-    real = np.array([1.0, -2.0, 0.0])
-    np.testing.assert_array_equal(elementwise_conj(real), real)
-    rng = np.random.default_rng(11)
-    v = rng.normal(size=8) + 1j * rng.normal(size=8)
-    np.testing.assert_array_equal(elementwise_conj(elementwise_conj(v)), v)
+@settings(max_examples=60, deadline=None)
+@given(
+    blocks=st.integers(1, 6),
+    n=st.integers(1, 5),
+    kind=st.sampled_from(["zeros", "rank_deficient"]),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_solve_names_the_singular_block(blocks, n, kind, data, seed):
+    """One bad block in an otherwise well-conditioned stack is enough,
+    and the message names it together with its pivot and threshold."""
+    rng = np.random.default_rng(seed)
+    a = dominant_stack(rng, blocks, n)
+    bad = data.draw(st.integers(0, blocks - 1), label="bad block")
+    if kind == "zeros":
+        a[bad] = 0
+    else:
+        # the last row is a combination of the others (all zeros when n = 1)
+        a[bad, -1] = complex_uniform(rng, (n - 1,)) @ a[bad, :-1]
+    a0 = a.copy()
+    with pytest.raises(SingularMatrix, match=rf"^block {bad}: (matrix of zeros|pivot \S+ below \S+)$"):
+        solve(a, complex_uniform(rng, (blocks, n)))
+    np.testing.assert_array_equal(a, a0)

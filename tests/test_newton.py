@@ -1,18 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holonewt import Dataset, NetworkTopology, forward
-from holonewt.fdcheck import fd_hessians
+from holonewt.fdcheck import fd_hessians, real_quadratic_form
 from holonewt.gradient import cogradient_conj
 from holonewt.linalg import SingularMatrix
 from holonewt.newton import (
     backward_tables,
+    conj_curvature_hidden,
     conj_curvature_output,
+    conj_plus_residual,
     curvature_hidden,
     curvature_output,
+    curvature_output_diagonal,
     hessian_pair,
     newton_update,
+    node_blocks,
+    one_step_denominator,
     pseudo_newton_update,
+    residual_curvature_hidden,
     residual_curvature_output,
 )
 
@@ -253,3 +261,87 @@ class TestUpdates:
             pseudo_newton_update(a, v, n_nodes=2),
             pseudo_newton_update(masked, v, n_nodes=2),
         )
+
+    def test_sizes_that_do_not_split_over_the_nodes_are_rejected(self):
+        h = np.eye(5, dtype=complex)
+        v = np.ones(5, dtype=complex)
+        with pytest.raises(ValueError, match="do not split"):
+            pseudo_newton_update(h, v, n_nodes=2)
+        with pytest.raises(ValueError, match="do not split"):
+            newton_update(h, np.zeros_like(h), v, n_nodes=2)
+        stack = np.stack([np.eye(2, dtype=complex)] * 2)
+        with pytest.raises(ValueError, match="cogradient"):
+            pseudo_newton_update(stack, v, n_nodes=2)
+        with pytest.raises(ValueError, match="node blocks"):
+            pseudo_newton_update(stack, v[:4], n_nodes=3)
+
+    def test_singular_block_is_named(self):
+        a = np.stack([np.eye(2, dtype=complex)] * 3)
+        a[2] = [[1.0, 2.0], [2.0, 4.0]]
+        v = np.ones(6, dtype=complex)
+        with pytest.raises(SingularMatrix, match="^block 2: pivot"):
+            pseudo_newton_update(a, v, n_nodes=3)
+        with pytest.raises(SingularMatrix, match="^block 2: pivot"):
+            newton_update(a, np.zeros_like(a), v, n_nodes=3)
+
+
+def sweep_tables(topology, weights, dataset, tables):
+    """Each layer's (p, curvature, conjugate-plus-residual) tables in the
+    form the training sweep builds them: diagonal (N, C) at the output."""
+    trace = tables.trace
+    p = topology.n_layers
+    curv = curvature_output_diagonal(topology, trace)
+    cplus = residual_curvature_output(topology, trace, dataset.targets)
+    out = [(p, curv, cplus)]
+    for p in range(topology.n_layers - 1, 0, -1):
+        w_next = weights[p]
+        curv = curvature_hidden(topology, trace, curv, w_next, p)
+        cplus = conj_plus_residual(
+            conj_curvature_hidden(topology, trace, cplus, w_next, p),
+            residual_curvature_hidden(topology, trace, tables.deltas[p], w_next, p),
+        )
+        out.append((p, curv, cplus))
+    return out
+
+
+def node_diagonal(h, n_nodes):
+    n = h.shape[0] // n_nodes
+    return np.stack([h[j * n : (j + 1) * n, j * n : (j + 1) * n] for j in range(n_nodes)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    widths=st.lists(st.integers(1, 4), min_size=2, max_size=5),
+    act=st.sampled_from(["taylor3", "sigmoid", "identity"]),
+    n_samples=st.integers(1, 5),
+    seed=st.integers(0, 2**20),
+)
+def test_matrix_free_curvature_matches_assembly(widths, act, n_samples, seed):
+    """On random topologies up to depth 4, the node blocks and one-step
+    denominator that training computes from its tables agree with the
+    assembled reference H_ww and H_wbar_w."""
+    t, w, ds = random_instance(widths, act, seed, n_samples=n_samples, pole_margin=0.05)
+    tables = backward_tables(t, w, ds)
+    rng = np.random.default_rng(seed)
+    for p, curv, cplus in sweep_tables(t, w, ds, tables):
+        h_ww, h_wbar_w = hessian_pair(tables, p)
+        k = t.widths[p]
+        a, g = node_blocks(curv, cplus, tables.trace, p)
+        scale = max(np.abs(h_ww).max(), np.abs(h_wbar_w).max(), 1e-300)
+        assert np.abs(a - node_diagonal(h_ww, k)).max() <= 1e-13 * scale
+        assert np.abs(g - node_diagonal(h_wbar_w, k)).max() <= 1e-13 * scale
+
+        dw = complex_uniform(rng, (t.layer_size(p),))
+        denominator = one_step_denominator(curv, cplus, tables.trace, p, dw)
+        reference = real_quadratic_form(h_ww, h_wbar_w, dw) / 2
+        size = abs(np.vdot(dw, h_ww @ dw)) + abs(np.vdot(dw, h_wbar_w @ np.conj(dw)))
+        assert abs(denominator - reference) <= 1e-12 * max(size, 1e-300)
+
+        # a full matrix and the stack of its node blocks give the same step
+        cog = cogradient_conj(tables.deltas[p - 1], tables.trace, p)
+        try:
+            full = newton_update(h_ww, h_wbar_w, cog, k)
+        except SingularMatrix:
+            continue
+        stack = newton_update(node_diagonal(h_ww, k), node_diagonal(h_wbar_w, k), cog, k)
+        np.testing.assert_array_equal(stack, full)

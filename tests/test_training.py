@@ -185,6 +185,25 @@ def test_newton_equals_pseudo_iterates_on_identity_net():
         np.testing.assert_array_equal(a, b)
 
 
+def test_training_never_assembles_hessian_blocks(monkeypatch):
+    """Newton and pseudo-Newton trials run to completion with the full
+    H_ww/H_wbar_w assembly disabled: training solves on node blocks."""
+    from holonewt import newton, training
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("training assembled a full Hessian block")
+
+    for name in ("assemble_h_ww", "assemble_h_wbar_w"):
+        monkeypatch.setattr(newton, name, refuse)
+        monkeypatch.setattr(training, name, refuse, raising=False)
+    for method in ("newton", "pseudo_newton"):
+        for act in ("taylor3", "sigmoid"):
+            config = TrainConfig(method=method, step=StepConfig(omega=0.5), max_iters=30)
+            rec = train(xor_topology(act), xor(), config, seed=12345)
+            assert rec.iterations >= 1
+            assert rec.outcome in ("success",) + FAILURE_OUTCOMES
+
+
 class TestRunTrials:
     def test_single_trial_aggregation(self):
         stats, records = run_trials(xor_topology(), xor(), PSEUDO, 1, base_seed=42)
