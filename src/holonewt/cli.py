@@ -22,6 +22,8 @@ import time
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .fdcheck import FDConfig, NonFiniteEvaluation, verify_report
 from .network import (
@@ -90,6 +92,9 @@ def load_config(path):
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
     widths = _get(doc, "topology", list, required=True)
+    for w in widths:
+        if not isinstance(w, int) or isinstance(w, bool):
+            raise ConfigError(f"topology widths should be integers, got {w!r}")
     activations = _get(doc, "activations", list, required=True)
     try:
         topology = NetworkTopology(tuple(widths), tuple(activations))
@@ -145,7 +150,7 @@ def load_config(path):
 
 
 def _verify_tolerances(doc):
-    section = doc.get("verify", {})
+    section = _get(doc, "verify", dict, default={})
     extra = set(section) - set(VERIFY_DEFAULTS)
     if extra:
         raise ConfigError(f"unknown verify keys: {sorted(extra)}")
@@ -236,7 +241,9 @@ def cmd_verify(args):
     tols = _verify_tolerances(doc)
     weights = init_weights(topology, args.seed, config.init_range)
     try:
-        report = verify_report(topology, weights, dataset, FDConfig())
+        # overflowing probes are reported by NonFiniteEvaluation, not warnings
+        with np.errstate(all="ignore"):
+            report = verify_report(topology, weights, dataset, FDConfig())
     except NonFiniteEvaluation as exc:
         print(f"verification aborted: {exc}", file=sys.stderr)
         return 2

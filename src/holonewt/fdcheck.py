@@ -20,6 +20,10 @@ import numpy as np
 # rounding to double
 _LONGC = getattr(np, "complex256", np.complex128)
 
+# four-probe stencils per batched forward pass; small chunks keep the
+# probe stack and its activations in cache and the peak memory flat
+_STENCILS_PER_CHUNK = 16
+
 __all__ = [
     "FDConfig",
     "NonFiniteEvaluation",
@@ -34,7 +38,12 @@ __all__ = [
 
 
 class NonFiniteEvaluation(Exception):
-    """A probe of the error function returned NaN or infinity."""
+    """A probe of the error function returned NaN or infinity.
+
+    The message names the layer and the first bad probe: a (0-based) flat
+    weight index and step for the cogradient, a pair of real coordinates
+    and step signs for the Hessian.
+    """
 
 
 @dataclass(frozen=True)
@@ -46,57 +55,77 @@ class FDConfig:
 
 
 def _layer_error_fn(topology, weights, dataset, p):
-    """E as a function of layer p's flat weight vector, other layers frozen."""
-    shape = (topology.widths[p], topology.widths[p - 1])
+    """E over stacks of layer p's flat weight vector, other layers frozen.
+
+    Returns (e_of, base).  e_of(flats, where) maps a (B, n) stack of flat
+    layer-p weight vectors to their (B,) errors; `where(row)` names the
+    probe in row `row` when its error is not finite.  Layers before p are
+    evaluated once here, and only layers p..L run on the stack.  `base`
+    is layer p's own flat weight vector.
+    """
+    widths = topology.widths
     frozen = [np.asarray(w, dtype=_LONGC) for w in weights]
-    inputs = np.asarray(dataset.inputs, dtype=_LONGC)
+    x = np.asarray(dataset.inputs, dtype=_LONGC)
+    for q in range(1, p):
+        x = topology.activation(q).f(x @ frozen[q - 1].T)
     targets = np.asarray(dataset.targets, dtype=_LONGC)
 
-    def e_of(flat):
-        frozen[p - 1] = flat.reshape(shape)
-        x = inputs
-        for q in range(1, len(topology.widths)):
-            x = topology.activation(q).f(x @ frozen[q - 1].T)
-        r = x - targets
-        value = np.mean(np.sum(r.real**2 + r.imag**2, axis=1))
-        if not np.isfinite(value):
-            raise NonFiniteEvaluation(f"error is {value} at a probe point")
-        return value
+    def e_of(flats, where):
+        stack = flats.reshape(-1, widths[p], widths[p - 1])
+        y = topology.activation(p).f(x @ stack.transpose(0, 2, 1))
+        for q in range(p + 1, len(widths)):
+            y = topology.activation(q).f(y @ frozen[q - 1].T)
+        r = y - targets
+        values = np.mean(np.sum(r.real**2 + r.imag**2, axis=2), axis=1)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            row = bad[0]
+            raise NonFiniteEvaluation(f"layer {p}: error is {values[row]} at {where(row)}")
+        return values
 
     return e_of, frozen[p - 1].ravel().copy()
 
 
-def _wirtinger_columns(fn, base, h):
-    """Return (d fn/dw_k, d fn/dwbar_k) for every coordinate k.
+def _stencil_errors(e_of, count, points, where):
+    """Errors at `count` four-probe stencils, _STENCILS_PER_CHUNK at a time.
 
-    `fn` maps a flat complex vector to a scalar or vector; the two
-    Wirtinger derivatives per coordinate come from four probes.
+    `points(ks)` builds the (len(ks), 4, n) probes of stencils `ks`, and
+    `where(k, s)` names probe s of stencil k.  Returns a (count, 4) array.
     """
-    n = base.size
-    cols_w, cols_wbar = [], []
-    for k in range(n):
-        probe = base.copy()
-        probe[k] = base[k] + h
-        f_px = fn(probe)
-        probe[k] = base[k] - h
-        f_mx = fn(probe)
-        probe[k] = base[k] + 1j * h
-        f_py = fn(probe)
-        probe[k] = base[k] - 1j * h
-        f_my = fn(probe)
-        dfdx = (f_px - f_mx) / (2.0 * h)
-        dfdy = (f_py - f_my) / (2.0 * h)
-        cols_w.append(0.5 * (dfdx - 1j * dfdy))
-        cols_wbar.append(0.5 * (dfdx + 1j * dfdy))
-    return cols_w, cols_wbar
+    errors = []
+    for start in range(0, count, _STENCILS_PER_CHUNK):
+        ks = np.arange(start, min(start + _STENCILS_PER_CHUNK, count))
+        probes = points(ks)
+        values = e_of(probes.reshape(4 * ks.size, -1), lambda row: where(ks[row // 4], row % 4))
+        errors.append(values.reshape(ks.size, 4))
+    return np.concatenate(errors)
+
+
+_COGRADIENT_PROBES = ("+h", "-h", "+ih", "-ih")
 
 
 def fd_cogradient(topology, weights, dataset, p, cfg=FDConfig()):
-    """FD estimate of the conjugate cogradient (dE/dw^(p-1))*, flat."""
+    """FD estimate of the conjugate cogradient (dE/dw^(p-1))*, flat.
+
+    Weight k is probed at w_k + h, w_k - h, w_k + ih and w_k - ih, which
+    give d/dx and d/dy and so d/dw = (d/dx - i d/dy)/2.
+    """
     e_of, base = _layer_error_fn(topology, weights, dataset, p)
-    d_w, _ = _wirtinger_columns(e_of, base, cfg.first_step)
+    h = cfg.first_step
+    stepped = np.stack([base + h, base - h, base + 1j * h, base - 1j * h], axis=1)
+
+    def points(ks):
+        probes = np.tile(base, (ks.size, 4, 1))
+        probes[np.arange(ks.size), :, ks] = stepped[ks]
+        return probes
+
+    f = _stencil_errors(
+        e_of, base.size, points, lambda k, s: f"the {_COGRADIENT_PROBES[s]} probe of weight {k}"
+    )
+    dfdx = (f[:, 0] - f[:, 1]) / (2.0 * h)
+    dfdy = (f[:, 2] - f[:, 3]) / (2.0 * h)
     # E is real, so (dE/dw)* = dE/dwbar
-    return np.conj(np.array(d_w)).astype(complex)
+    return np.conj(0.5 * (dfdx - 1j * dfdy)).astype(complex)
 
 
 def _real_hessian_blocks(h_rr):
@@ -141,27 +170,40 @@ def fd_hessians_conj(topology, weights, dataset, p, cfg=FDConfig()):
     return h_w_wbar, h_wbar_wbar
 
 
+_HESSIAN_PROBES = ("(+h, +h)", "(+h, -h)", "(-h, +h)", "(-h, -h)")
+
+
 def fd_real_hessian(topology, weights, dataset, p, cfg=FDConfig()):
-    """FD Hessian of E over the stacked real coordinates (x_1..x_n, y_1..y_n)."""
+    """FD Hessian of E over the stacked real coordinates (x_1..x_n, y_1..y_n).
+
+    Entry (i, j), i <= j, comes from the four probes r0 + s_i h e_i +
+    s_j h e_j with signs (s_i, s_j) = (+, +), (+, -), (-, +), (-, -).
+    """
     e_of, base = _layer_error_fn(topology, weights, dataset, p)
     n = base.size
     h = cfg.second_step
-
-    def e_real(r):
-        return e_of(r[:n] + 1j * r[n:])
-
     r0 = np.concatenate([base.real, base.imag])
     m = 2 * n
-    hess = np.empty((m, m), dtype=r0.dtype)
-    for i in range(m):
-        for j in range(i, m):
-            rpp = r0.copy(); rpp[i] += h; rpp[j] += h
-            rpm = r0.copy(); rpm[i] += h; rpm[j] -= h
-            rmp = r0.copy(); rmp[i] -= h; rmp[j] += h
-            rmm = r0.copy(); rmm[i] -= h; rmm[j] -= h
-            val = (e_real(rpp) - e_real(rpm) - e_real(rmp) + e_real(rmm)) / (4.0 * h * h)
-            hess[i, j] = val
-            hess[j, i] = val
+    rows_i, cols_j = np.triu_indices(m)
+
+    def points(ks):
+        r = np.tile(r0, (ks.size, 4, 1))
+        rows = np.arange(ks.size)
+        # two separate steps, so a diagonal probe moves by (r + h) + h
+        r[rows, :, rows_i[ks]] += h * np.array([1, 1, -1, -1])
+        r[rows, :, cols_j[ks]] += h * np.array([1, -1, 1, -1])
+        return r[..., :n] + 1j * r[..., n:]
+
+    f = _stencil_errors(
+        e_of,
+        rows_i.size,
+        points,
+        lambda k, s: f"the {_HESSIAN_PROBES[s]} probe of real coordinates ({rows_i[k]}, {cols_j[k]})",
+    )
+    vals = (f[:, 0] - f[:, 1] - f[:, 2] + f[:, 3]) / (4.0 * h * h)
+    hess = np.empty((m, m), dtype=vals.dtype)
+    hess[rows_i, cols_j] = vals
+    hess[cols_j, rows_i] = vals
     return hess.astype(float)
 
 

@@ -36,3 +36,69 @@ def random_instance(widths, activation, seed, n_samples=3, pole_margin=0.5):
         if min(distance_to_sigmoid_poles(n).min() for n in trace.nets) >= pole_margin:
             return topology, weights, dataset
     raise RuntimeError(f"no pole-safe instance for seed {seed}")
+
+
+def loop_layer_error_fn(topology, weights, dataset, p):
+    """The FD oracle's error function, one probe point per call.
+
+    E of layer p's flat weight vector with every other layer frozen, the
+    whole network re-run in extended precision for each probe.
+    """
+    longc = getattr(np, "complex256", np.complex128)
+    shape = (topology.widths[p], topology.widths[p - 1])
+    frozen = [np.asarray(w, dtype=longc) for w in weights]
+    inputs = np.asarray(dataset.inputs, dtype=longc)
+    targets = np.asarray(dataset.targets, dtype=longc)
+
+    def e_of(flat):
+        frozen[p - 1] = flat.reshape(shape)
+        x = inputs
+        for q in range(1, len(topology.widths)):
+            x = topology.activation(q).f(x @ frozen[q - 1].T)
+        r = x - targets
+        return np.mean(np.sum(r.real**2 + r.imag**2, axis=1))
+
+    return e_of, frozen[p - 1].ravel().copy()
+
+
+def loop_fd_cogradient(topology, weights, dataset, p, h=1e-5):
+    """Reference conjugate cogradient: four probes per weight, one at a time."""
+    e_of, base = loop_layer_error_fn(topology, weights, dataset, p)
+    cols = []
+    for k in range(base.size):
+        probe = base.copy()
+        probe[k] = base[k] + h
+        f_px = e_of(probe)
+        probe[k] = base[k] - h
+        f_mx = e_of(probe)
+        probe[k] = base[k] + 1j * h
+        f_py = e_of(probe)
+        probe[k] = base[k] - 1j * h
+        f_my = e_of(probe)
+        dfdx = (f_px - f_mx) / (2.0 * h)
+        dfdy = (f_py - f_my) / (2.0 * h)
+        cols.append(0.5 * (dfdx - 1j * dfdy))
+    return np.conj(np.array(cols)).astype(complex)
+
+
+def loop_fd_real_hessian(topology, weights, dataset, p, h=1e-4):
+    """Reference real-coordinate Hessian: four probes per pair i <= j."""
+    e_of, base = loop_layer_error_fn(topology, weights, dataset, p)
+    n = base.size
+
+    def e_real(r):
+        return e_of(r[:n] + 1j * r[n:])
+
+    r0 = np.concatenate([base.real, base.imag])
+    m = 2 * n
+    hess = np.empty((m, m), dtype=r0.dtype)
+    for i in range(m):
+        for j in range(i, m):
+            rpp = r0.copy(); rpp[i] += h; rpp[j] += h
+            rpm = r0.copy(); rpm[i] += h; rpm[j] -= h
+            rmp = r0.copy(); rmp[i] -= h; rmp[j] += h
+            rmm = r0.copy(); rmm[i] -= h; rmm[j] -= h
+            val = (e_real(rpp) - e_real(rpm) - e_real(rmp) + e_real(rmm)) / (4.0 * h * h)
+            hess[i, j] = val
+            hess[j, i] = val
+    return hess.astype(float)

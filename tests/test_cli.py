@@ -102,6 +102,15 @@ class TestExitCodes:
         assert "'max_iters' should be int, got bool" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("width", [3.7, True])
+    def test_non_integer_topology_width_exits_1(self, tmp_path, capsys, width):
+        """A width of 3.7 is not truncated to 3, and true is not 1."""
+        path = write_config(tmp_path, topology=[2, width, 1])
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(path), "--out", str(out)]) == 1
+        assert "holonewt: topology widths should be integers" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_file_exits_1(self, tmp_path, capsys):
         rc = main(["train", "--config", str(tmp_path / "no.json"), "--out", str(tmp_path)])
         assert rc == 1
@@ -287,6 +296,16 @@ class TestTrialsCommand:
         assert rc == 1
 
 
+def run_cli(*args):
+    """Run ``python -m holonewt.cli`` on the imported package's source."""
+    src = str(Path(holonewt.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "holonewt.cli", *args], capture_output=True, text=True, env=env
+    )
+
+
 class TestVerifyCommand:
     def config(self, tmp_path):
         return write_config(
@@ -337,3 +356,32 @@ class TestVerifyCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["tolerances"]["hessian_tol"] == 1e-15
         assert report["within_tolerance"] is False
+
+    @pytest.mark.parametrize("section", [5, ["cogradient_tol"]])
+    def test_verify_section_must_be_an_object(self, tmp_path, section):
+        cfg = write_config(tmp_path, topology=[2, 3, 1], verify=section)
+        out = run_cli("verify", "--config", str(cfg))
+        assert out.returncode == 1
+        assert out.stderr.startswith("holonewt: config key 'verify' should be dict")
+        assert "Traceback" not in out.stderr
+
+    def test_overflow_is_reported_not_warned(self, tmp_path):
+        """Huge sigmoid weights overflow inside the report; the run still
+        fails with exit 2, and stderr carries no numpy warnings."""
+        cfg = write_config(
+            tmp_path,
+            topology=[2, 3, 1],
+            activations=["sigmoid", "sigmoid"],
+            trial={"init_range": 1e3},
+        )
+        out = run_cli("verify", "--config", str(cfg), "--seed", "0")
+        assert out.returncode == 2
+        assert json.loads(out.stdout)["within_tolerance"] is False
+        assert "RuntimeWarning" not in out.stderr
+
+    def test_nonfinite_probe_exits_2_naming_the_probe(self, tmp_path):
+        cfg = write_config(tmp_path, topology=[2, 3, 1], trial={"init_range": 1e300})
+        out = run_cli("verify", "--config", str(cfg), "--seed", "0")
+        assert out.returncode == 2
+        assert out.stderr.startswith("verification aborted: layer 1: error is ")
+        assert "RuntimeWarning" not in out.stderr

@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from holonewt import Dataset, NetworkTopology, error, forward, fdcheck
+from holonewt.activations import ACTIVATIONS, Activation
 from holonewt.fdcheck import (
     NonFiniteEvaluation,
     fd_cogradient,
@@ -17,7 +20,7 @@ from holonewt.fdcheck import (
 from holonewt.gradient import cogradient_conj, delta_output
 from holonewt.newton import backward_tables, hessian_pair
 
-from helpers import complex_uniform, random_instance
+from helpers import complex_uniform, loop_fd_cogradient, loop_fd_real_hessian, random_instance
 
 
 def test_fd_cogradient_zero_at_perfect_fit():
@@ -129,8 +132,56 @@ def test_nonfinite_probe_raises():
     w = [np.array([[1e300 + 0j]]), np.array([[1e300 + 0j]])]
     ds = Dataset(np.array([[1e300]]), np.array([[0.0]]))
     with np.errstate(all="ignore"):
-        with pytest.raises(NonFiniteEvaluation):
+        with pytest.raises(NonFiniteEvaluation, match=r"^layer 1: error is \S+ at the \+h probe of weight 0$"):
             fd_cogradient(t, w, ds, 1)
+        with pytest.raises(
+            NonFiniteEvaluation,
+            match=r"^layer 2: error is \S+ at the \(\+h, \+h\) probe of real coordinates \(0, 0\)$",
+        ):
+            fd_real_hessian(t, w, ds, 2)
+
+
+def test_nonfinite_probe_is_named_inside_a_chunk(monkeypatch):
+    """Every probe value is checked, not a chunk aggregate: a bad probe
+    among finite ones in the same chunk is named by its own coordinates.
+    Here E is NaN wherever the second weight's real part exceeds 0.5."""
+    ident = ACTIVATIONS["identity"]
+    monkeypatch.setitem(
+        ACTIVATIONS,
+        "identity",
+        Activation("identity", lambda z: np.where(z.real > 0.5, np.nan, z), ident.d1, ident.d2),
+    )
+    t = NetworkTopology((1, 2), ("identity",))
+    w = [np.array([[0.25], [0.5]], dtype=complex)]
+    ds = Dataset(np.array([[1.0]]), np.array([[0.0, 0.0]]))
+    with pytest.raises(NonFiniteEvaluation, match=r"^layer 1: error is nan at the \+h probe of weight 1$"):
+        fd_cogradient(t, w, ds, 1)
+    with pytest.raises(
+        NonFiniteEvaluation,
+        match=r"^layer 1: error is nan at the \(\+h, \+h\) probe of real coordinates \(0, 1\)$",
+    ):
+        fd_real_hessian(t, w, ds, 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    widths=st.lists(st.integers(1, 3), min_size=2, max_size=5),
+    act=st.sampled_from(["taylor3", "sigmoid", "identity"]),
+    n_samples=st.integers(1, 5),
+    seed=st.integers(0, 2**20),
+)
+# a one-weight layer (3 Hessian stencils), and layers of 24 and 18 weights
+# whose stencil counts (24, 1176; 18, 666) span several chunks of 16 and
+# end in a partial one
+@example(widths=[1, 1], act="sigmoid", n_samples=2, seed=0)
+@example(widths=[4, 6, 3], act="taylor3", n_samples=8, seed=1)
+def test_batched_fd_matches_loop_reference(widths, act, n_samples, seed):
+    """The chunked, stacked probes reproduce the one-probe-per-call
+    oracle bit for bit, on every layer of random nets up to depth 4."""
+    t, w, ds = random_instance(widths, act, seed, n_samples=n_samples, pole_margin=0.05)
+    for p in range(1, t.n_layers + 1):
+        assert np.array_equal(fd_cogradient(t, w, ds, p), loop_fd_cogradient(t, w, ds, p))
+        assert np.array_equal(fd_real_hessian(t, w, ds, p), loop_fd_real_hessian(t, w, ds, p))
 
 
 def test_relative_error_conventions():
