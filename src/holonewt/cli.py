@@ -187,11 +187,19 @@ def _write_manifest(outdir, command, doc, artifacts, started):
         fh.write("\n")
 
 
+def _make_outdir(path):
+    outdir = Path(path)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from None
+    return outdir
+
+
 def cmd_train(args):
     started = time.monotonic()
     topology, dataset, config, doc = load_config(args.config)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _make_outdir(args.out)
     record = train(topology, dataset, config, args.seed)
 
     ckpt = outdir / "weights.json"
@@ -224,8 +232,7 @@ def cmd_trials(args):
     started = time.monotonic()
     topology, dataset, config, doc = load_config(args.config)
     jobs = _resolve_jobs(args.jobs)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _make_outdir(args.out)
     stats, records = run_trials(topology, dataset, config, args.trials, args.seed, jobs=jobs)
     csv_path = outdir / "trials.csv"
     write_trials_csv(csv_path, records, config, topology)
@@ -253,11 +260,20 @@ def cmd_verify(args):
         and report["max_h_wbar_w_rel"] <= tols["hessian_tol"]
         and report["max_quadratic_form_rel"] <= tols["quadratic_form_tol"]
     )
+    # strict JSON: a relative error against an exactly-zero reference is
+    # infinite, and is written as null
+    for entry in [report] + report["layers"]:
+        for key, value in entry.items():
+            if isinstance(value, float) and not np.isfinite(value):
+                entry[key] = None
     report["tolerances"] = tols
     report["within_tolerance"] = ok
-    text = json.dumps(report, indent=1, sort_keys=True)
+    text = json.dumps(report, indent=1, sort_keys=True, allow_nan=False)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        try:
+            Path(args.out).write_text(text + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write report: {exc}") from None
     print(text)
     return 0 if ok else 2
 

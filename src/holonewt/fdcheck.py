@@ -29,7 +29,6 @@ __all__ = [
     "NonFiniteEvaluation",
     "fd_cogradient",
     "fd_hessians",
-    "fd_hessians_conj",
     "fd_real_hessian",
     "real_quadratic_form",
     "relative_error",
@@ -38,11 +37,13 @@ __all__ = [
 
 
 class NonFiniteEvaluation(Exception):
-    """A probe of the error function returned NaN or infinity.
+    """A probe of the error function, or an analytic derivative under
+    check, returned NaN or infinity.
 
     The message names the layer and the first bad probe: a (0-based) flat
     weight index and step for the cogradient, a pair of real coordinates
-    and step signs for the Hessian.
+    and step signs for the Hessian.  For an analytic derivative it names
+    the layer and the quantity.
     """
 
 
@@ -128,15 +129,10 @@ def fd_cogradient(topology, weights, dataset, p, cfg=FDConfig()):
     return np.conj(0.5 * (dfdx - 1j * dfdy)).astype(complex)
 
 
-def _real_hessian_blocks(h_rr):
-    """(E_xx, E_xy, E_yy) blocks of a real-coordinate Hessian."""
-    n = h_rr.shape[0] // 2
-    return h_rr[:n, :n], h_rr[:n, n:], h_rr[n:, n:]
-
-
 def _wirtinger_hessians(h_rr):
     """(H_ww, H_wbar_w) recombined from a real-coordinate Hessian."""
-    a, b, d = _real_hessian_blocks(h_rr)
+    n = h_rr.shape[0] // 2
+    a, b, d = h_rr[:n, :n], h_rr[:n, n:], h_rr[n:, n:]
     h_ww = 0.25 * ((a + d) + 1j * (b.T - b))
     h_wbar_w = 0.25 * ((a - d) + 1j * (b.T + b))
     return h_ww, h_wbar_w
@@ -156,18 +152,6 @@ def fd_hessians(topology, weights, dataset, p, cfg=FDConfig()):
       H_wbar_w   = ((E_xx - E_yy) + i (E_xy^T + E_xy)) / 4
     """
     return _wirtinger_hessians(fd_real_hessian(topology, weights, dataset, p, cfg))
-
-
-def fd_hessians_conj(topology, weights, dataset, p, cfg=FDConfig()):
-    """FD estimates of the remaining blocks (H_w_wbar, H_wbar_wbar).
-
-    These differentiate (dE/dwbar)* instead of (dE/dw)*, which flips the
-    sign of the imaginary recombination relative to fd_hessians.
-    """
-    a, b, d = _real_hessian_blocks(fd_real_hessian(topology, weights, dataset, p, cfg))
-    h_w_wbar = 0.25 * ((a - d) - 1j * (b.T + b))
-    h_wbar_wbar = 0.25 * ((a + d) - 1j * (b.T - b))
-    return h_w_wbar, h_wbar_wbar
 
 
 _HESSIAN_PROBES = ("(+h, +h)", "(+h, -h)", "(-h, +h)", "(-h, -h)")
@@ -239,6 +223,10 @@ def verify_report(topology, weights, dataset, cfg=FDConfig(), with_quadratic_for
     zero block does not divide by its own noise.  Each layer's
     real-coordinate FD Hessian is estimated once and serves both the
     Hessian blocks and the quadratic form.
+
+    Raises NonFiniteEvaluation when a probe's error is not finite, or,
+    once a layer's probes are all finite, when its analytic cogradient or
+    either analytic block is not.
     """
     from . import newton
     from .gradient import cogradient_conj
@@ -250,6 +238,12 @@ def verify_report(topology, weights, dataset, cfg=FDConfig(), with_quadratic_for
         h_ww, h_wbar_w = newton.hessian_pair(deltas, p)
         fd_cog = fd_cogradient(topology, weights, dataset, p, cfg)
         h_rr = fd_real_hessian(topology, weights, dataset, p, cfg)
+        for name, value in (("cogradient", cog), ("H_ww", h_ww), ("H_wbar_w", h_wbar_w)):
+            bad = np.count_nonzero(~np.isfinite(value))
+            if bad:
+                raise NonFiniteEvaluation(
+                    f"layer {p}: analytic {name} has {bad} of {value.size} entries not finite"
+                )
         fd_ww, fd_wbar_w = _wirtinger_hessians(h_rr)
         h_scale = max(np.linalg.norm(fd_ww), np.linalg.norm(fd_wbar_w))
         entry = {

@@ -25,9 +25,17 @@ Training never assembles H_ww or H_wbar_w.  It builds the node blocks
 straight from the table diagonals (node_blocks), solves all of a
 layer's nodes in one stacked elimination, and takes the steplength's
 quadratic forms from the tables (one_step_denominator).  The output
-layer's tables stay diagonal (N, K) arrays there.  Full assembly
-(hessian_pair over backward_tables) is the reference that `verify` and
-the tests compare against.
+layer's tables stay diagonal (N, K) arrays there.  Pseudo-Newton builds
+only the H_ww stack, since its solve never reads H_wbar_w.  Full
+assembly (hessian_pair over backward_tables) is the reference that
+`verify` and the tests compare against.
+
+The node-block contraction sums over the samples, so node_blocks takes
+its operands sample-last and contiguous (sample_last): einsum's inner
+loop then runs over unit-stride memory, which at wide layers outweighs
+the cost of the copies.  The sum still visits the samples in
+order, so the blocks keep the sample-first contraction's bits (a NaN
+entry stays NaN, though its payload may differ).
 """
 
 from dataclasses import dataclass
@@ -47,6 +55,7 @@ __all__ = [
     "conj_curvature_hidden",
     "conj_plus_residual",
     "curvature_output_diagonal",
+    "sample_last",
     "node_blocks",
     "one_step_denominator",
     "assemble_h_ww",
@@ -175,22 +184,28 @@ def assemble_h_wbar_w(conj_curv_p, resid_curv_p, trace, p):
     return h.reshape(size, size)
 
 
-def node_blocks(curv_p, cplus_p, trace, p):
-    """The per-node diagonal blocks of H_ww and H_wbar_w, never assembling either.
+def sample_last(x):
+    """(x^T, conj(x)^T) of an (N, K) layer input, each a contiguous (K, N)
+    copy with the sample axis last, as node_blocks takes its operands."""
+    xt = x.T.copy()
+    return xt, np.conj(xt)
 
-    Returns two (K_p, K_{p-1}, K_{p-1}) stacks with
-      A[j, i, a] = H_ww[(j,i),(j,a)]     = mean_t curvature[t,j,j] conj(x_i) x_a
-      G[j, i, a] = H_wbar_w[(j,i),(j,a)] = mean_t cplus[t,j,j] conj(x_i) conj(x_a)
-    from the diagonals of the curvature and conjugate-plus-residual
-    tables, full or diagonal.  This costs O(N K_p K_{p-1}^2) where the
-    assembled blocks cost O(N K_p^2 K_{p-1}^2).
+
+def node_blocks(table, left, right):
+    """One per-node diagonal block stack of H_ww or H_wbar_w, assembling neither.
+
+    With (xt, xct) = sample_last(x) for layer p's input x, returns the
+    (K_p, K_{p-1}, K_{p-1}) stacks
+      node_blocks(curv, xct, xt)   A[j, i, a] = H_ww[(j,i),(j,a)]
+                                              = mean_t curvature[t,j,j] conj(x_i) x_a
+      node_blocks(cplus, xct, xct) G[j, i, a] = H_wbar_w[(j,i),(j,a)]
+                                              = mean_t cplus[t,j,j] conj(x_i) conj(x_a)
+    from the diagonal of the curvature or conjugate-plus-residual table,
+    full or diagonal.  This costs O(N K_p K_{p-1}^2) where the assembled
+    blocks cost O(N K_p^2 K_{p-1}^2).
     """
-    x = trace.values[p - 1]
-    n = x.shape[0]
-    xc = np.conj(x)
-    a = np.einsum("tj,ti,ta->jia", _diagonal(curv_p), xc, x) / n
-    g = np.einsum("tj,ti,ta->jia", _diagonal(cplus_p), xc, xc) / n
-    return a, g
+    diag = _diagonal(table).T.copy()
+    return np.einsum("jt,it,at->jia", diag, left, right) / left.shape[1]
 
 
 def one_step_denominator(curv_p, cplus_p, trace, p, dw):

@@ -16,7 +16,7 @@ MODES = ("one_step_newton", "constant")
 
 
 class DegenerateStep(Exception):
-    """One-step denominator too close to zero to divide by."""
+    """One-step denominator not finite, or too close to zero to divide by."""
 
 
 @dataclass(frozen=True)
@@ -49,10 +49,13 @@ def one_step_mu(cograd_conj, dw, h_ww, h_wbar_w):
 def mu_from_denominator(cograd_conj, dw, denominator):
     """one_step_mu given its denominator, however that was computed.
 
-    Raises DegenerateStep when |denominator| < 1e-300; a negative or huge
-    quotient is returned as-is for the caller to deal with.
+    Raises DegenerateStep when the denominator is NaN, infinite or below
+    1e-300 in magnitude; a negative or huge quotient is returned as-is
+    for the caller to deal with.
     """
     numerator = -np.real(np.vdot(cograd_conj, dw))
+    if not np.isfinite(denominator):
+        raise DegenerateStep(f"one-step denominator is {float(denominator)!r}, not finite")
     if abs(denominator) < 1e-300:
         raise DegenerateStep(f"denominator {denominator!r}")
     return float(numerator / denominator)

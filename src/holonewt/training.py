@@ -8,8 +8,8 @@ singular Newton systems and degenerate steplengths each terminate the
 trial with a distinct outcome.
 
 Outcomes, in classification precedence order:
-  non_finite      E or an update became NaN/inf, or a steplength divided
-                  by (almost) zero
+  non_finite      E or an update became NaN/inf, or a one-step steplength
+                  denominator was not finite or (almost) zero
   singular_matrix a Newton or pseudo-Newton solve hit a singular system
   success         E fell below the error target
   blow_up         E exceeded the blow-up threshold
@@ -40,6 +40,7 @@ from .newton import (
     pseudo_newton_update,
     residual_curvature_hidden,
     residual_curvature_output,
+    sample_last,
 )
 from .steplength import DegenerateStep, StepConfig, apply_update, mu_from_denominator
 
@@ -158,13 +159,17 @@ def _sweep_newton(topology, weights, trace, targets, config):
                 residual_curvature_hidden(topology, trace, delta_up, w_next, p),
             )
         cograd = cogradient_conj(delta, trace, p)
-        a, g = node_blocks(curv, cplus, trace, p)
-        if not _finite(cograd, curv, cplus, a, g):
+        # pseudo-Newton never reads the H_wbar_w stack, so it is not built
+        xt, xct = sample_last(trace.values[p - 1])
+        blocks = [node_blocks(curv, xct, xt)]
+        if config.method == "newton":
+            blocks.append(node_blocks(cplus, xct, xct))
+        if not _finite(cograd, curv, cplus, *blocks):
             raise _NonFiniteSweep
         if config.method == "newton":
-            dw = newton_update(a, g, cograd, topology.widths[p])
+            dw = newton_update(*blocks, cograd, topology.widths[p])
         else:
-            dw = pseudo_newton_update(a, cograd, topology.widths[p])
+            dw = pseudo_newton_update(*blocks, cograd, topology.widths[p])
         if step.mode == "one_step_newton":
             mu = mu_from_denominator(cograd, dw, one_step_denominator(curv, cplus, trace, p, dw))
         else:

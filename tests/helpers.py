@@ -10,6 +10,7 @@ import numpy as np
 
 from holonewt import Dataset, NetworkTopology, forward
 from holonewt.activations import distance_to_sigmoid_poles
+from holonewt.fdcheck import FDConfig, fd_real_hessian
 
 
 def complex_uniform(rng, shape):
@@ -102,3 +103,28 @@ def loop_fd_real_hessian(topology, weights, dataset, p, h=1e-4):
             hess[i, j] = val
             hess[j, i] = val
     return hess.astype(float)
+
+
+def fd_hessians_conj(topology, weights, dataset, p, cfg=FDConfig()):
+    """FD estimates of the remaining blocks (H_w_wbar, H_wbar_wbar).
+
+    These differentiate (dE/dwbar)* instead of (dE/dw)*, which flips the
+    sign of the imaginary recombination relative to fd_hessians.
+    """
+    h_rr = fd_real_hessian(topology, weights, dataset, p, cfg)
+    n = h_rr.shape[0] // 2
+    a, b, d = h_rr[:n, :n], h_rr[:n, n:], h_rr[n:, n:]
+    h_w_wbar = 0.25 * ((a - d) - 1j * (b.T + b))
+    h_wbar_wbar = 0.25 * ((a + d) - 1j * (b.T - b))
+    return h_w_wbar, h_wbar_wbar
+
+
+def sample_first_node_blocks(table, x, conj_right=False):
+    """Reference node-block stack: the sample-first three-operand contraction.
+
+    mean_t table[t,j,j] conj(x_i) x_a, or conj(x_a) with `conj_right`,
+    from the (N, K_p) diagonals of a diagonal table or of a full one.
+    """
+    diag = table if table.ndim == 2 else np.diagonal(table, axis1=1, axis2=2)
+    xc = np.conj(x)
+    return np.einsum("tj,ti,ta->jia", diag, xc, xc if conj_right else x) / x.shape[0]

@@ -30,7 +30,6 @@ from holonewt import (
     verify_report,
 )
 from holonewt.fdcheck import (
-    fd_hessians_conj,
     fd_real_hessian,
     real_quadratic_form,
     relative_error,
@@ -44,7 +43,7 @@ from holonewt.training import (
 )
 
 from conftest import XOR_INPUTS, XOR_TARGETS
-from helpers import complex_uniform, random_instance
+from helpers import complex_uniform, fd_hessians_conj, random_instance
 
 XOR = Dataset(XOR_INPUTS.copy(), XOR_TARGETS.copy())
 BASE_SEED = 12345

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import holonewt
@@ -366,8 +367,9 @@ class TestVerifyCommand:
         assert "Traceback" not in out.stderr
 
     def test_overflow_is_reported_not_warned(self, tmp_path):
-        """Huge sigmoid weights overflow inside the report; the run still
-        fails with exit 2, and stderr carries no numpy warnings."""
+        """Huge sigmoid weights overflow the float64 analytic derivatives
+        to NaN; the run fails with exit 2 naming the layer and the
+        quantity, and stderr carries no numpy warnings."""
         cfg = write_config(
             tmp_path,
             topology=[2, 3, 1],
@@ -376,8 +378,38 @@ class TestVerifyCommand:
         )
         out = run_cli("verify", "--config", str(cfg), "--seed", "0")
         assert out.returncode == 2
-        assert json.loads(out.stdout)["within_tolerance"] is False
-        assert "RuntimeWarning" not in out.stderr
+        assert out.stdout == ""
+        assert out.stderr == (
+            "verification aborted: layer 1: analytic cogradient has 6 of 6 entries not finite\n"
+        )
+
+    def test_infinite_relative_error_is_written_as_null(self, tmp_path, capsys, monkeypatch):
+        """A finite analytic value against an exactly-zero FD reference has
+        an infinite relative error; the report stays strict JSON."""
+        from holonewt import cli
+
+        report = {
+            "layers": [{"layer": 1, "cogradient_rel": 0.0, "h_ww_rel": np.inf,
+                        "h_wbar_w_rel": 0.0, "quadratic_form_rel": 0.0}],
+            "max_cogradient_rel": 0.0,
+            "max_h_ww_rel": np.inf,
+            "max_h_wbar_w_rel": 0.0,
+            "max_quadratic_form_rel": 0.0,
+        }
+        monkeypatch.setattr(cli, "verify_report", lambda *args: report)
+        report_path = tmp_path / "report.json"
+        rc = main(["verify", "--config", str(self.config(tmp_path)), "--out", str(report_path)])
+        assert rc == 2
+
+        def reject(name):
+            raise AssertionError(f"non-strict JSON constant {name}")
+
+        printed = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert printed["max_h_ww_rel"] is None
+        assert printed["layers"][0]["h_ww_rel"] is None
+        assert printed["layers"][0]["cogradient_rel"] == 0.0
+        assert printed["within_tolerance"] is False
+        assert json.loads(report_path.read_text(), parse_constant=reject) == printed
 
     def test_nonfinite_probe_exits_2_naming_the_probe(self, tmp_path):
         cfg = write_config(tmp_path, topology=[2, 3, 1], trial={"init_range": 1e300})
@@ -385,3 +417,25 @@ class TestVerifyCommand:
         assert out.returncode == 2
         assert out.stderr.startswith("verification aborted: layer 1: error is ")
         assert "RuntimeWarning" not in out.stderr
+
+
+class TestOutputPaths:
+    """An unusable --out ends with exit 1 and a message, not a traceback."""
+
+    @pytest.mark.parametrize("command", ["train", "trials"])
+    def test_out_naming_a_file_exits_1(self, tmp_path, command):
+        cfg = write_config(tmp_path, trial={"max_iters": 2})
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = run_cli(command, "--config", str(cfg), "--out", str(taken), "--seed", "12345")
+        assert out.returncode == 1
+        assert out.stderr.startswith("holonewt: cannot create output directory: ")
+        assert "Traceback" not in out.stderr
+
+    def test_verify_out_in_missing_directory_exits_1(self, tmp_path):
+        cfg = write_config(tmp_path, topology=[2, 3, 1])
+        missing = tmp_path / "no_such_dir" / "report.json"
+        out = run_cli("verify", "--config", str(cfg), "--out", str(missing))
+        assert out.returncode == 1
+        assert out.stderr.startswith("holonewt: cannot write report: ")
+        assert "Traceback" not in out.stderr

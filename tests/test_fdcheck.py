@@ -11,7 +11,6 @@ from holonewt.fdcheck import (
     NonFiniteEvaluation,
     fd_cogradient,
     fd_hessians,
-    fd_hessians_conj,
     fd_real_hessian,
     real_quadratic_form,
     relative_error,
@@ -20,7 +19,13 @@ from holonewt.fdcheck import (
 from holonewt.gradient import cogradient_conj, delta_output
 from holonewt.newton import backward_tables, hessian_pair
 
-from helpers import complex_uniform, loop_fd_cogradient, loop_fd_real_hessian, random_instance
+from helpers import (
+    complex_uniform,
+    fd_hessians_conj,
+    loop_fd_cogradient,
+    loop_fd_real_hessian,
+    random_instance,
+)
 
 
 def test_fd_cogradient_zero_at_perfect_fit():

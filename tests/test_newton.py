@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from holonewt import Dataset, NetworkTopology, forward
@@ -22,9 +22,10 @@ from holonewt.newton import (
     pseudo_newton_update,
     residual_curvature_hidden,
     residual_curvature_output,
+    sample_last,
 )
 
-from helpers import complex_uniform, random_instance
+from helpers import complex_uniform, random_instance, sample_first_node_blocks
 
 
 def single_linear_neuron_tables():
@@ -326,7 +327,9 @@ def test_matrix_free_curvature_matches_assembly(widths, act, n_samples, seed):
     for p, curv, cplus in sweep_tables(t, w, ds, tables):
         h_ww, h_wbar_w = hessian_pair(tables, p)
         k = t.widths[p]
-        a, g = node_blocks(curv, cplus, tables.trace, p)
+        xt, xct = sample_last(tables.trace.values[p - 1])
+        a = node_blocks(curv, xct, xt)
+        g = node_blocks(cplus, xct, xct)
         scale = max(np.abs(h_ww).max(), np.abs(h_wbar_w).max(), 1e-300)
         assert np.abs(a - node_diagonal(h_ww, k)).max() <= 1e-13 * scale
         assert np.abs(g - node_diagonal(h_wbar_w, k)).max() <= 1e-13 * scale
@@ -345,3 +348,41 @@ def test_matrix_free_curvature_matches_assembly(widths, act, n_samples, seed):
             continue
         stack = newton_update(node_diagonal(h_ww, k), node_diagonal(h_wbar_w, k), cog, k)
         np.testing.assert_array_equal(stack, full)
+
+
+def assert_same_bits(got, ref):
+    """NaN in the same places, and every other real and imaginary part
+    byte-equal (so signed zeros and infinities count too)."""
+    g, r = got.view(np.float64), ref.view(np.float64)
+    nan = np.isnan(r)
+    np.testing.assert_array_equal(np.isnan(g), nan)
+    np.testing.assert_array_equal(g.view(np.uint64)[~nan], r.view(np.uint64)[~nan])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 69),
+    k=st.integers(1, 8),
+    k_in=st.integers(1, 8),
+    full=st.booleans(),
+    special=st.sampled_from([None, np.nan, np.inf, -np.inf, complex(np.inf, np.nan), -0.0]),
+    seed=st.integers(0, 2**20),
+)
+@example(n=32, k=16, k_in=16, full=True, special=None, seed=0)
+@example(n=1, k=1, k_in=1, full=False, special=np.nan, seed=0)
+def test_sample_last_node_blocks_keep_sample_first_bits(n, k, k_in, full, special, seed):
+    """The sample-last contraction gives the same bits as the
+    sample-first one it replaced, for both stacks, on full and diagonal
+    tables, with NaN and infinite entries."""
+    rng = np.random.default_rng(seed)
+    table = complex_uniform(rng, (n, k, k) if full else (n, k))
+    x = complex_uniform(rng, (n, k_in))
+    if special is not None:
+        table[rng.random(table.shape) < 0.2] = special
+        x[rng.random(x.shape) < 0.1] = special
+    xt, xct = sample_last(x)
+    with np.errstate(all="ignore"):
+        assert_same_bits(node_blocks(table, xct, xt), sample_first_node_blocks(table, x))
+        assert_same_bits(
+            node_blocks(table, xct, xct), sample_first_node_blocks(table, x, conj_right=True)
+        )

@@ -4,7 +4,13 @@ import pytest
 from holonewt import Dataset, NetworkTopology, error
 from holonewt.gradient import cogradient_conj
 from holonewt.newton import backward_tables, hessian_pair, newton_update
-from holonewt.steplength import DegenerateStep, StepConfig, apply_update, one_step_mu
+from holonewt.steplength import (
+    DegenerateStep,
+    StepConfig,
+    apply_update,
+    mu_from_denominator,
+    one_step_mu,
+)
 from holonewt.training import TrainConfig, train
 
 from conftest import XOR_INPUTS, XOR_TARGETS
@@ -61,6 +67,12 @@ def test_one_step_mu_degenerate_denominator():
             np.array([[0.0 + 0j]]),
             np.array([[0.0 + 0j]]),
         )
+
+
+@pytest.mark.parametrize("denominator", [np.inf, -np.inf, np.nan])
+def test_non_finite_denominator_is_degenerate(denominator):
+    with pytest.raises(DegenerateStep, match="denominator is .*not finite"):
+        mu_from_denominator(np.array([1.0 + 0j]), np.array([1.0 + 0j]), denominator)
 
 
 def test_one_step_mu_negative_passes_through():

@@ -16,7 +16,7 @@ from holonewt.training import (
 )
 
 from conftest import XOR_INPUTS, XOR_TARGETS
-from helpers import complex_uniform
+from helpers import complex_uniform, random_instance
 
 
 def xor():
@@ -202,6 +202,44 @@ def test_training_never_assembles_hessian_blocks(monkeypatch):
             rec = train(xor_topology(act), xor(), config, seed=12345)
             assert rec.iterations >= 1
             assert rec.outcome in ("success",) + FAILURE_OUTCOMES
+
+
+def test_pseudo_newton_never_builds_the_conjugate_block_stack(monkeypatch):
+    """Pseudo-Newton's solve never reads H_wbar_w, so its sweep never
+    contracts the conjugated layer inputs with themselves, which is how
+    the H_wbar_w node-block stack is built.  Newton, which solves with
+    that stack, does build it."""
+    einsum = np.einsum
+    both_conj = []
+
+    def spy(subscripts, *operands, **kwargs):
+        if subscripts.endswith("->jia") and len(operands) == 3:
+            both_conj.append(np.array_equal(operands[1], operands[2]))
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    # complex inputs, so that x and conj(x) differ at every layer
+    t, _, ds = random_instance((3, 4, 2), "taylor3", 0, n_samples=6)
+    for method, builds_g in (("pseudo_newton", False), ("newton", True)):
+        both_conj.clear()
+        config = TrainConfig(method=method, step=StepConfig(omega=0.5), max_iters=3)
+        rec = train(t, ds, config, seed=5)
+        assert rec.iterations >= 1
+        assert both_conj and any(both_conj) == builds_g
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_denominator_ends_the_trial(monkeypatch, bad):
+    """A NaN or infinite one-step denominator ends the trial as
+    non_finite at once, instead of stalling or poisoning the weights."""
+    from holonewt import training
+
+    monkeypatch.setattr(training, "one_step_denominator", lambda *args: bad)
+    # one layer, so no later layer of the same sweep sees the step first
+    t = NetworkTopology((2, 1), ("taylor3",))
+    rec = train(t, xor(), TrainConfig(method="pseudo_newton", max_iters=5), seed=12345)
+    assert rec.outcome == "non_finite"
+    assert rec.iterations == 0
 
 
 class TestRunTrials:
