@@ -14,6 +14,7 @@ pseudo-Newton runs.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,6 +295,23 @@ def test_criterion_6_determinism(xor_battery, tmp_path):
         f"{2 * len(BATTERY)} CSV reruns byte-identical at jobs=1 and jobs=2"
         + (f"; mismatches {mismatches}" if mismatches else ""),
     )
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_battery_matches_golden_trials(xor_battery):
+    """The battery's trials.csv bytes are pinned: a refactor that keeps
+    the arithmetic keeps every outcome, iteration count and final error.
+    Regenerate tests/golden/<config>.csv only for a change that is meant
+    to move the arithmetic, and explain the diff."""
+    results, _ = xor_battery
+    changed = [
+        name
+        for name, (_, path) in results.items()
+        if path.read_bytes() != (GOLDEN / f"{name}.csv").read_bytes()
+    ]
+    assert not changed, f"battery trials.csv differs from tests/golden for {changed}"
 
 
 def test_criterion_7_r_factor_diagnostic():
