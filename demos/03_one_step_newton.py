@@ -9,7 +9,7 @@ iteration should land at machine precision.
 import numpy as np
 
 from holonewt import Dataset, NetworkTopology, error, forward
-from holonewt.gradient import cogradient_conj, delta_output
+from holonewt.gradient import cogradient_conj
 from holonewt.newton import backward_tables, hessian_pair, newton_update
 from holonewt.network import init_weights
 from holonewt.steplength import apply_update, one_step_mu

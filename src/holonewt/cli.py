@@ -27,6 +27,7 @@ import numpy as np
 from . import __version__
 from .fdcheck import FDConfig, NonFiniteEvaluation, verify_report
 from .network import (
+    FINITE_JSON,
     Dataset,
     NetworkTopology,
     init_weights,
@@ -67,7 +68,10 @@ def _get(doc, key, kind, default=None, required=False):
         return default
     value = doc[key]
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(f"config key {key!r} is out of range") from None
     # bool is a subclass of int, but JSON true/false is never a number
     if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise ConfigError(f"config key {key!r} should be {kind.__name__}, got {type(value).__name__}")
@@ -78,10 +82,10 @@ def load_config(path):
     """Parse and validate a config file; returns (topology, dataset, train_config, doc)."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(), **FINITE_JSON)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
@@ -243,16 +247,32 @@ def cmd_trials(args):
     return 0
 
 
+def _open_report(path):
+    """Open the --out path before any finite-difference probe runs, so
+    that an unwritable path costs nothing.  Append mode leaves an
+    existing report in place until the new one is written."""
+    created = not os.path.exists(path)
+    try:
+        return open(path, "a"), created
+    except OSError as exc:
+        raise ConfigError(f"cannot write report: {exc}") from None
+
+
 def cmd_verify(args):
     topology, dataset, config, doc = load_config(args.config)
     tols = _verify_tolerances(doc)
     weights = init_weights(topology, args.seed, config.init_range)
+    out, created = _open_report(args.out) if args.out else (None, False)
     try:
         # overflowing probes are reported by NonFiniteEvaluation, not warnings
         with np.errstate(all="ignore"):
             report = verify_report(topology, weights, dataset, FDConfig())
     except NonFiniteEvaluation as exc:
         print(f"verification aborted: {exc}", file=sys.stderr)
+        if out:
+            out.close()
+            if created:
+                os.unlink(args.out)
         return 2
     ok = (
         report["max_cogradient_rel"] <= tols["cogradient_tol"]
@@ -269,9 +289,11 @@ def cmd_verify(args):
     report["tolerances"] = tols
     report["within_tolerance"] = ok
     text = json.dumps(report, indent=1, sort_keys=True, allow_nan=False)
-    if args.out:
+    if out:
         try:
-            Path(args.out).write_text(text + "\n")
+            with out:
+                out.truncate(0)
+                out.write(text + "\n")
         except OSError as exc:
             raise ConfigError(f"cannot write report: {exc}") from None
     print(text)

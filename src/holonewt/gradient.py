@@ -1,30 +1,16 @@
-"""First-order backpropagation in Wirtinger form.
+"""The conjugate cogradient of one layer's weights, in Wirtinger form.
 
 The delta for layer p is the factor multiplying conj(x^(p-1)) in the
-conjugate cogradient (dE/dw)*: at the output layer it is the residual
-times g'(conj(net)), and it propagates backwards through the conjugated
-weights.  Gradient descent steps along minus the conjugate cogradient.
+conjugate cogradient (dE/dw)*.  newton.layer_step computes it: at the
+output layer it is the residual times g'(conj(net)), and it propagates
+backwards through the conjugated weights, in the same step that carries
+the curvature tables.  Gradient descent steps along minus the conjugate
+cogradient.
 """
 
 import numpy as np
 
-__all__ = ["delta_output", "delta_hidden", "cogradient_conj", "gd_update"]
-
-
-def delta_output(topology, trace, targets):
-    """(N, C) residual deltas (y - d) * gL'(conj(net))."""
-    act = topology.activation(topology.n_layers)
-    return (trace.outputs - targets) * act.d1(np.conj(trace.nets[-1]))
-
-
-def delta_hidden(topology, trace, delta_next, w_next, p):
-    """Pull layer p+1 deltas back through w^(p) onto layer p.
-
-    `w_next` is passed explicitly because during a training sweep the
-    downstream layer has already been updated while the trace has not.
-    """
-    act = topology.activation(p)
-    return (delta_next @ np.conj(w_next)) * act.d1(np.conj(trace.nets[p - 1]))
+__all__ = ["cogradient_conj"]
 
 
 def cogradient_conj(delta_p, trace, p):
@@ -32,8 +18,3 @@ def cogradient_conj(delta_p, trace, p):
     x_prev = trace.values[p - 1]
     n = x_prev.shape[0]
     return (delta_p.T @ np.conj(x_prev)).ravel() / n
-
-
-def gd_update(cograd_conj):
-    """Steepest-descent direction: minus the conjugate cogradient."""
-    return -cograd_conj

@@ -27,6 +27,7 @@ __all__ = [
     "load_checkpoint",
     "load_dataset",
     "save_dataset",
+    "FINITE_JSON",
 ]
 
 
@@ -182,10 +183,30 @@ def load_checkpoint(path):
     return topology, weights
 
 
+def _finite_float(text):
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"number {text} is out of range")
+    return value
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not a finite number")
+
+
+# json.load hooks for inputs: Python's json accepts NaN, Infinity and
+# -Infinity and reads an overflowing float as inf; these reject them
+FINITE_JSON = {"parse_float": _finite_float, "parse_constant": _reject_constant}
+
+
 def load_dataset(path):
-    """Read a JSON dataset: a list of {"input": [[re,im],...], "target": [[re,im],...]}."""
+    """Read a JSON dataset: a list of {"input": [[re,im],...], "target": [[re,im],...]}.
+
+    Every number must be finite; NaN, Infinity and overflowing numbers
+    raise ValueError.
+    """
     with open(path) as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, parse_int=_finite_float, **FINITE_JSON)
     if not isinstance(doc, list) or not doc:
         raise ValueError("dataset must be a non-empty JSON array of samples")
     inputs = [[complex(re, im) for re, im in s["input"]] for s in doc]

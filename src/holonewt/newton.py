@@ -1,34 +1,43 @@
-"""Second-order backpropagation and Newton-type weight updates.
+"""Newton backpropagation: one backward layer step, node blocks and updates.
 
 For one layer's weights the error has four Wirtinger Hessian blocks, of
 which only two are independent when E is real: H_ww (rows index the
 conjugate cogradient, columns the unconjugated weights) and H_wbar_w
-(columns the conjugated weights).  Both admit layerwise recursions in
-per-sample node-pair tables:
+(columns the conjugated weights).  Both follow, with the cogradient, from
+one layerwise backward recursion in per-sample node tables, carried from
+layer p+1 to layer p by layer_step:
 
-  * curvature[t, j, b] scales conj(x_i) x_a to build H_ww,
-  * residual_curvature[t, j] (a diagonal) and conj_curvature[t, j, b]
-    together scale conj(x_i) conj(x_a) to build H_wbar_w; their sum is
-    the conjugate-plus-residual table.
+  * delta[t, j], which scales conj(x_i) in the conjugate cogradient,
+  * curvature[t, j, b], which scales conj(x_i) x_a in H_ww,
+  * cplus[t, j, b], the conjugate-plus-residual table, which scales
+    conj(x_i) conj(x_a) in H_wbar_w: the backpropagated conjugate table
+    with the residual (g'') table added on its diagonal.
 
-At the output layer the curvature and residual tables are diagonal and
-the conjugate table vanishes, which makes both output-layer blocks block
-diagonal with one block per output node.  The Newton update solves the
-coupled system over (w, wbar); the pseudo-Newton update drops the
-H_wbar_w coupling and solves only with H_ww.  Both updates solve on the
-per-node diagonal blocks: exact at the output layer, and the only
-well-posed choice at hidden layers, where the full matrix is singular
-by rank counting whenever sample count times output width is below the
-layer's weight count.
+At the output layer the conjugate table vanishes and the curvature and
+residual tables are diagonal, so layer_step keeps both tables there as
+(N, C) diagonals, and both output-layer blocks are block diagonal with
+one block per output node.  layer_step evaluates g' and g'' once per
+layer, at the unconjugated net sums; the factors at the conjugated net
+sums are their conjugates, since every activation has real Taylor
+coefficients (see activations).
 
-Training never assembles H_ww or H_wbar_w.  It builds the node blocks
-straight from the table diagonals (node_blocks), solves all of a
-layer's nodes in one stacked elimination, and takes the steplength's
-quadratic forms from the tables (one_step_denominator).  The output
-layer's tables stay diagonal (N, K) arrays there.  Pseudo-Newton builds
-only the H_ww stack, since its solve never reads H_wbar_w.  Full
-assembly (hessian_pair over backward_tables) is the reference that
-`verify` and the tests compare against.
+Training runs layer_step inside its sweep, on the downstream weights as
+already updated there, and never assembles H_ww or H_wbar_w: it builds
+the per-node diagonal blocks straight from the table diagonals
+(node_blocks), solves all of a layer's nodes in one stacked elimination,
+and takes the steplength's quadratic forms from the tables
+(one_step_denominator).  Pseudo-Newton builds only the H_ww stack, since
+its solve never reads H_wbar_w.  backward_tables runs the same step on
+fixed weights and keeps every layer's tables; hessian_pair assembles the
+full blocks from them, the reference that `verify` and the tests compare
+against.
+
+The Newton update solves the coupled system over (w, wbar); the
+pseudo-Newton update drops the H_wbar_w coupling and solves only with
+H_ww.  Both solve on the per-node diagonal blocks: exact at the output
+layer, and the only well-posed choice at hidden layers, where the full
+matrix is singular by rank counting whenever sample count times output
+width is below the layer's weight count.
 
 The node-block contraction sums over the samples, so node_blocks takes
 its operands sample-last and contiguous (sample_last): einsum's inner
@@ -42,38 +51,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gradient import delta_hidden, delta_output
 from .linalg import solve
 from .network import forward
 
 __all__ = [
-    "curvature_output",
-    "curvature_hidden",
-    "residual_curvature_output",
-    "residual_curvature_hidden",
-    "conj_curvature_output",
-    "conj_curvature_hidden",
-    "conj_plus_residual",
-    "curvature_output_diagonal",
+    "layer_step",
     "sample_last",
     "node_blocks",
     "one_step_denominator",
-    "assemble_h_ww",
-    "assemble_h_wbar_w",
     "BackwardTables",
     "backward_tables",
     "hessian_pair",
     "newton_update",
     "pseudo_newton_update",
 ]
-
-
-def _diag_embed(vals):
-    n, k = vals.shape
-    out = np.zeros((n, k, k), dtype=complex)
-    idx = np.arange(k)
-    out[:, idx, idx] = vals
-    return out
 
 
 def _diagonal(table):
@@ -95,93 +86,44 @@ def _apply(table, u):
     return (table @ u[:, :, None])[:, :, 0]
 
 
-def curvature_output_diagonal(topology, trace):
-    """(N, C) diagonal g'(conj(net)) g'(net) of the output-layer H_ww table."""
-    act = topology.activation(topology.n_layers)
-    net = trace.nets[-1]
-    return act.d1(np.conj(net)) * act.d1(net)
+def layer_step(topology, trace, targets, p, upper, w_next, curvature):
+    """Layer p's (delta, curvature, cplus), or its delta alone.
 
+    At the output layer (`upper` None) the step starts from the residual
+    y - d, and both tables are (N, C) diagonals.  Below it, `upper` is
+    what this function returned for layer p+1 and `w_next` is the weight
+    matrix w^(p) between the two layers, passed explicitly because a
+    training sweep has already updated it while the trace is still the
+    one from the top of the iteration.  With `curvature` false the step
+    carries only the deltas, and `upper` and the result are delta arrays.
 
-def curvature_output(topology, trace):
-    """(N, C, C) diagonal table g'(conj(net)) g'(net) at the output layer."""
-    return _diag_embed(curvature_output_diagonal(topology, trace))
-
-
-def curvature_hidden(topology, trace, curv_next, w_next, p):
-    """Propagate the H_ww table from layer p+1 back to layer p.
-
-    `curv_next` is layer p+1's (N, K, K) table, or its (N, K) diagonal
-    when layer p+1 is the output layer.  Note the asymmetric derivative
-    pair: the row side evaluates g' at the conjugated net sum, the
-    column side at the unconjugated one.
+    The row side of the curvature table takes g' at the conjugated net
+    sums and its column side g' at the unconjugated ones; both sides of
+    the conjugate table take it at the conjugated ones, so the diagonal
+    residual table of layer p+1 feeds the off-diagonal entries of layer p
+    through the conjugated weights.
     """
     act = topology.activation(p)
     net = trace.nets[p - 1]
-    core = _sandwich(np.conj(w_next).T, curv_next, w_next)
-    return core * act.d1(np.conj(net))[:, :, None] * act.d1(net)[:, None, :]
-
-
-def residual_curvature_output(topology, trace, targets):
-    """(N, C) diagonal of the residual-weighted g'' table at the output."""
-    act = topology.activation(topology.n_layers)
-    return (trace.outputs - targets) * act.d2(np.conj(trace.nets[-1]))
-
-
-def residual_curvature_hidden(topology, trace, delta_next, w_next, p):
-    """(N, K_p) diagonal: backpropagated deltas times g'' at layer p."""
-    act = topology.activation(p)
-    return (delta_next @ np.conj(w_next)) * act.d2(np.conj(trace.nets[p - 1]))
-
-
-def conj_curvature_output(topology, trace):
-    """The off-diagonal H_wbar_w table is identically zero at the output."""
-    n, c = trace.nets[-1].shape
-    return np.zeros((n, c, c), dtype=complex)
-
-
-def conj_plus_residual(conj_curv, resid_curv):
-    """The table that scales conj(x_i) conj(x_a) in H_wbar_w: the
-    conjugate table with the residual table added on its diagonal."""
-    table = conj_curv.copy()
-    idx = np.arange(table.shape[1])
-    table[:, idx, idx] += resid_curv
-    return table
-
-
-def conj_curvature_hidden(topology, trace, cplus_next, w_next, p):
-    """Propagate the H_wbar_w table from layer p+1 back to layer p.
-
-    `cplus_next` is layer p+1's conjugate-plus-residual table (see
-    conj_plus_residual), or its (N, K) diagonal, the residual table,
-    when layer p+1 is the output layer, where the conjugate table
-    vanishes.  Both derivative factors evaluate g' at the conjugated net
-    sums, so the diagonal residual table of layer p+1 feeds the
-    off-diagonal entries of layer p through the conjugated weights.
-    """
-    act = topology.activation(p)
-    wc = np.conj(w_next)
-    core = _sandwich(wc.T, cplus_next, wc)
-    d1c = act.d1(np.conj(trace.nets[p - 1]))
-    return core * d1c[:, :, None] * d1c[:, None, :]
-
-
-def assemble_h_ww(curv_p, trace, p):
-    """H_ww[(j,i),(b,a)] = mean_t curvature[t,j,b] conj(x_i) x_a."""
-    x = trace.values[p - 1]
-    n = x.shape[0]
-    h = np.einsum("tjb,ti,ta->jiba", curv_p, np.conj(x), x) / n
-    size = curv_p.shape[1] * x.shape[1]
-    return h.reshape(size, size)
-
-
-def assemble_h_wbar_w(conj_curv_p, resid_curv_p, trace, p):
-    """H_wbar_w[(j,i),(b,a)] = mean_t table[t,j,b] conj(x_i) conj(x_a)."""
-    x = np.conj(trace.values[p - 1])
-    n = x.shape[0]
-    table = conj_plus_residual(conj_curv_p, resid_curv_p)
-    h = np.einsum("tjb,ti,ta->jiba", table, x, x) / n
-    size = table.shape[1] * x.shape[1]
-    return h.reshape(size, size)
+    d1 = act.d1(net)
+    d1c = np.conj(d1)
+    if upper is None:
+        back = trace.outputs - targets
+    else:
+        wc = np.conj(w_next)
+        back = (upper[0] if curvature else upper) @ wc
+    delta = back * d1c
+    if not curvature:
+        return delta
+    resid = back * np.conj(act.d2(net))
+    if upper is None:
+        return delta, d1c * d1, resid
+    _, curv_next, cplus_next = upper
+    curv = _sandwich(wc.T, curv_next, w_next) * d1c[:, :, None] * d1[:, None, :]
+    cplus = _sandwich(wc.T, cplus_next, wc) * d1c[:, :, None] * d1c[:, None, :]
+    idx = np.arange(cplus.shape[1])
+    cplus[:, idx, idx] += resid
+    return delta, curv, cplus
 
 
 def sample_last(x):
@@ -223,44 +165,49 @@ def one_step_denominator(curv_p, cplus_p, trace, p, dw):
 
 @dataclass
 class BackwardTables:
-    """Full backward sweep at fixed weights, one entry per layer (index p-1)."""
+    """Every layer's layer_step at fixed weights (index p-1): deltas,
+    curvature and conjugate-plus-residual tables, the output layer's
+    tables as (N, C) diagonals."""
 
     topology: object
     trace: object
     deltas: list
     curvature: list
-    residual_curvature: list
-    conj_curvature: list
+    cplus: list
 
 
 def backward_tables(topology, weights, dataset):
-    """Run forward and backward passes without updating any weights."""
+    """Run the forward pass and the backward recursion without updating any weights."""
     trace = forward(topology, weights, dataset.inputs)
-    ell = topology.n_layers
-    deltas = [None] * ell
-    curv = [None] * ell
-    resid = [None] * ell
-    cconj = [None] * ell
-    deltas[ell - 1] = delta_output(topology, trace, dataset.targets)
-    curv[ell - 1] = curvature_output(topology, trace)
-    resid[ell - 1] = residual_curvature_output(topology, trace, dataset.targets)
-    cconj[ell - 1] = conj_curvature_output(topology, trace)
-    for p in range(ell - 1, 0, -1):
-        w_next = weights[p]
-        deltas[p - 1] = delta_hidden(topology, trace, deltas[p], w_next, p)
-        curv[p - 1] = curvature_hidden(topology, trace, curv[p], w_next, p)
-        resid[p - 1] = residual_curvature_hidden(topology, trace, deltas[p], w_next, p)
-        cplus_next = conj_plus_residual(cconj[p], resid[p])
-        cconj[p - 1] = conj_curvature_hidden(topology, trace, cplus_next, w_next, p)
-    return BackwardTables(topology, trace, deltas, curv, resid, cconj)
+    steps = []
+    upper = None
+    for p in range(topology.n_layers, 0, -1):
+        w_next = weights[p] if upper is not None else None
+        upper = layer_step(topology, trace, dataset.targets, p, upper, w_next, True)
+        steps.append(upper)
+    deltas, curv, cplus = (list(reversed(column)) for column in zip(*steps))
+    return BackwardTables(topology, trace, deltas, curv, cplus)
+
+
+def _assemble(table, left, right):
+    """mean_t table[t,j,b] left_i right_a as a (K*n, K*n) matrix, rows
+    (j,i) and columns (b,a); a 2-d table holds diagonals."""
+    k = table.shape[1]
+    if table.ndim == 2:
+        table = np.where(np.eye(k, dtype=bool), table[:, :, None], 0)
+    h = np.einsum("tjb,ti,ta->jiba", table, left, right) / left.shape[0]
+    return h.reshape(k * left.shape[1], k * right.shape[1])
 
 
 def hessian_pair(tables, p):
-    h_ww = assemble_h_ww(tables.curvature[p - 1], tables.trace, p)
-    h_wbar_w = assemble_h_wbar_w(
-        tables.conj_curvature[p - 1], tables.residual_curvature[p - 1], tables.trace, p
-    )
-    return h_ww, h_wbar_w
+    """Layer p's full (H_ww, H_wbar_w), assembled from its tables:
+
+      H_ww[(j,i),(b,a)]     = mean_t curvature[t,j,b] conj(x_i) x_a
+      H_wbar_w[(j,i),(b,a)] = mean_t cplus[t,j,b] conj(x_i) conj(x_a)
+    """
+    x = tables.trace.values[p - 1]
+    xc = np.conj(x)
+    return _assemble(tables.curvature[p - 1], xc, x), _assemble(tables.cplus[p - 1], xc, xc)
 
 
 def _node_stack(h, n_nodes):

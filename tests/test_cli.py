@@ -439,3 +439,88 @@ class TestOutputPaths:
         assert out.returncode == 1
         assert out.stderr.startswith("holonewt: cannot write report: ")
         assert "Traceback" not in out.stderr
+
+    def test_unwritable_verify_out_spends_nothing(self, tmp_path, capsys, monkeypatch):
+        """The report path is opened before any finite-difference probe
+        runs, so an unwritable --out fails at once."""
+        from holonewt import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify_report ran before --out was checked")
+
+        monkeypatch.setattr(cli, "verify_report", refuse)
+        cfg = write_config(tmp_path, topology=[2, 3, 1])
+        missing = tmp_path / "no_such_dir" / "report.json"
+        assert main(["verify", "--config", str(cfg), "--out", str(missing)]) == 1
+        assert capsys.readouterr().err.startswith("holonewt: cannot write report: ")
+
+    def test_aborted_verify_leaves_no_report(self, tmp_path, capsys):
+        """A verify run that aborts with exit 2 removes the report file it
+        opened, and leaves a report that was already there untouched."""
+        cfg = write_config(
+            tmp_path,
+            topology=[2, 3, 1],
+            activations=["sigmoid", "sigmoid"],
+            trial={"init_range": 1e3},
+        )
+        fresh = tmp_path / "fresh.json"
+        assert main(["verify", "--config", str(cfg), "--out", str(fresh)]) == 2
+        assert not fresh.exists()
+        kept = tmp_path / "kept.json"
+        kept.write_text("earlier report\n")
+        assert main(["verify", "--config", str(cfg), "--out", str(kept)]) == 2
+        assert kept.read_text() == "earlier report\n"
+        assert capsys.readouterr().err.startswith("verification aborted: layer 1: ")
+
+
+class TestOutOfRangeNumbers:
+    """Numbers a config or dataset cannot mean end with exit 1 and a
+    message, not a traceback or a run on nonsense values."""
+
+    @pytest.mark.parametrize(
+        "command, trial",
+        [
+            ("train", {"init_range": 1e308}),
+            ("verify", {"init_range": 1e308}),
+            ("train", {"init_range": float("inf")}),
+            ("verify", {"init_range": float("inf")}),
+            ("train", {"error_target": float("inf")}),
+            ("train", {"stall_tolerance": float("nan")}),
+            ("verify", {"init_range": float("-inf")}),
+            ("train", {"init_range": 10**400}),
+        ],
+    )
+    def test_config_number_exits_1(self, tmp_path, command, trial):
+        cfg = write_config(tmp_path, topology=[2, 3, 1], trial=trial)
+        out = run_cli(command, "--config", str(cfg), *self.out_args(tmp_path, command))
+        self.assert_rejected(out)
+
+    def test_overflowing_literal_exits_1(self, tmp_path):
+        cfg = write_config(tmp_path, trial={"init_range": 1.0})
+        cfg.write_text(cfg.read_text().replace("1.0", "1e400"))
+        out = run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        self.assert_rejected(out)
+        assert "out of range" in out.stderr
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "1e999"])
+    def test_dataset_number_exits_1(self, tmp_path, value):
+        data = tmp_path / "data.json"
+        data.write_text(
+            '[{"input": [[0, 0], [1, 0]], "target": [[0, 0]]},'
+            f' {{"input": [[1, 0], [0, {value}]], "target": [[1, 0]]}}]'
+        )
+        cfg = write_config(tmp_path, dataset_path="data.json")
+        out = run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        self.assert_rejected(out)
+        assert out.stderr.startswith("holonewt: bad dataset: ")
+
+    @staticmethod
+    def out_args(tmp_path, command):
+        return ["--out", str(tmp_path / "out")] if command == "train" else []
+
+    @staticmethod
+    def assert_rejected(out):
+        assert out.returncode == 1
+        assert out.stderr.startswith("holonewt: ")
+        assert "Traceback" not in out.stderr
+        assert out.stdout == ""

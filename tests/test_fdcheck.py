@@ -16,7 +16,7 @@ from holonewt.fdcheck import (
     relative_error,
     verify_report,
 )
-from holonewt.gradient import cogradient_conj, delta_output
+from holonewt.gradient import cogradient_conj
 from holonewt.newton import backward_tables, hessian_pair
 
 from helpers import (

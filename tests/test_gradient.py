@@ -3,7 +3,8 @@ import pytest
 
 from holonewt import Dataset, NetworkTopology, error, forward
 from holonewt.fdcheck import fd_cogradient
-from holonewt.gradient import cogradient_conj, delta_hidden, delta_output, gd_update
+from holonewt.gradient import cogradient_conj
+from holonewt.newton import backward_tables, layer_step
 
 from helpers import complex_uniform, random_instance
 
@@ -14,6 +15,16 @@ def single_linear_neuron():
     w = [np.zeros((1, 1), dtype=complex)]
     ds = Dataset(np.array([[1.0]]), np.array([[1.0]]))
     return t, w, ds
+
+
+def delta_output(topology, trace, targets):
+    """The output layer's deltas: layer_step with the curvature off."""
+    return layer_step(topology, trace, targets, topology.n_layers, None, None, False)
+
+
+def delta_hidden(topology, trace, delta_next, w_next, p):
+    """Hidden layer p's deltas from layer p+1's, through w_next."""
+    return layer_step(topology, trace, None, p, delta_next, w_next, False)
 
 
 def test_delta_output_zero_residual():
@@ -91,17 +102,12 @@ def test_cogradient_single_linear_neuron():
     np.testing.assert_array_equal(cogradient_conj(delta, trace, 1), [-1.0])
 
 
-def test_gd_update_negates():
-    np.testing.assert_array_equal(gd_update(np.array([-1.0 + 0j])), [1.0])
-    np.testing.assert_array_equal(gd_update(np.zeros(3, dtype=complex)), np.zeros(3))
-
-
 def test_gd_single_step_minimizes_linear_neuron():
     """One gradient step with mu=1 lands exactly on the minimum."""
     t, w, ds = single_linear_neuron()
     trace = forward(t, w, ds.inputs)
     delta = delta_output(t, trace, ds.targets)
-    dw = gd_update(cogradient_conj(delta, trace, 1))
+    dw = -cogradient_conj(delta, trace, 1)
     w[0] += dw.reshape(1, 1)
     assert w[0][0, 0] == 1.0
     assert error(t, w, ds) == 0.0
@@ -115,8 +121,6 @@ def test_cogradient_matches_fd_oracle(widths, act):
     A 10-seed slice per topology; the full 100-seed battery runs in the
     acceptance suite.
     """
-    from holonewt.newton import backward_tables
-
     for seed in range(10):
         t, w, ds = random_instance(widths, act, seed)
         tables = backward_tables(t, w, ds)
@@ -137,12 +141,8 @@ def test_conjugating_instance_conjugates_cogradient():
     d = complex_uniform(rng, (4, 1))
 
     def cograds(weights, inputs, targets):
-        trace = forward(t, weights, inputs)
-        delta = delta_output(t, trace, targets)
-        out = [cogradient_conj(delta, trace, 2)]
-        delta = delta_hidden(t, trace, delta, weights[1], 1)
-        out.append(cogradient_conj(delta, trace, 1))
-        return out
+        tables = backward_tables(t, weights, Dataset(inputs, targets))
+        return [cogradient_conj(tables.deltas[p - 1], tables.trace, p) for p in (1, 2)]
 
     plain = cograds(w, x, d)
     conjd = cograds([np.conj(a) for a in w], np.conj(x), np.conj(d))

@@ -4,24 +4,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from holonewt import Dataset, NetworkTopology, forward
-from holonewt.fdcheck import fd_hessians, real_quadratic_form
+from holonewt.fdcheck import fd_hessians, real_quadratic_form, relative_error
 from holonewt.gradient import cogradient_conj
 from holonewt.linalg import SingularMatrix
 from holonewt.newton import (
     backward_tables,
-    conj_curvature_hidden,
-    conj_curvature_output,
-    conj_plus_residual,
-    curvature_hidden,
-    curvature_output,
-    curvature_output_diagonal,
     hessian_pair,
+    layer_step,
     newton_update,
     node_blocks,
     one_step_denominator,
     pseudo_newton_update,
-    residual_curvature_hidden,
-    residual_curvature_output,
     sample_last,
 )
 
@@ -35,38 +28,58 @@ def single_linear_neuron_tables():
     return t, w, ds, backward_tables(t, w, ds)
 
 
+def output_step(topology, trace, targets=None):
+    """The output layer's (delta, curvature, cplus); the curvature table
+    does not depend on the targets."""
+    if targets is None:
+        targets = np.zeros_like(trace.outputs)
+    return layer_step(topology, trace, targets, topology.n_layers, None, None, True)
+
+
 class TestCurvatureTables:
     def test_output_identity_is_one(self):
         t = NetworkTopology((2, 2), ("identity",))
         rng = np.random.default_rng(0)
         w = [complex_uniform(rng, (2, 2))]
         trace = forward(t, w, complex_uniform(rng, (3, 2)))
-        curv = curvature_output(t, trace)
-        idx = np.arange(2)
-        np.testing.assert_array_equal(curv[:, idx, idx], np.ones((3, 2)))
+        _, curv, _ = output_step(t, trace)
+        np.testing.assert_array_equal(curv, np.ones((3, 2)))
 
     def test_output_sigmoid_zero_net(self):
         """g'(0)^2 = 0.0625 on the diagonal."""
         t = NetworkTopology((1, 1), ("sigmoid",))
         w = [np.zeros((1, 1), dtype=complex)]
         trace = forward(t, w, np.array([[1.0]]))
-        np.testing.assert_allclose(curvature_output(t, trace), [[[0.0625]]], rtol=1e-15)
+        np.testing.assert_allclose(output_step(t, trace)[1], [[0.0625]], rtol=1e-15)
 
     def test_output_off_diagonal_exactly_zero(self):
+        """Both output-layer tables are stored as (N, C) diagonals, so
+        their off-diagonal entries are zero by construction, and the
+        first hidden step reads them as diagonals."""
         t = NetworkTopology((2, 3, 2), ("sigmoid", "sigmoid"))
         rng = np.random.default_rng(1)
         w = [complex_uniform(rng, (3, 2)), complex_uniform(rng, (2, 3))]
         trace = forward(t, w, complex_uniform(rng, (4, 2)))
-        curv = curvature_output(t, trace)
-        off = ~np.eye(2, dtype=bool)
-        assert np.all(curv[:, off] == 0)
+        delta, curv, cplus = output_step(t, trace, complex_uniform(rng, (4, 2)))
+        assert delta.shape == curv.shape == cplus.shape == (4, 2)
+        _, curv1, cplus1 = layer_step(t, trace, None, 1, (delta, curv, cplus), w[1], True)
+        _, full1, fullplus1 = layer_step(
+            t,
+            trace,
+            None,
+            1,
+            (delta, curv[:, :, None] * np.eye(2), cplus[:, :, None] * np.eye(2)),
+            w[1],
+            True,
+        )
+        np.testing.assert_allclose(curv1, full1, rtol=1e-14, atol=1e-16)
+        np.testing.assert_allclose(cplus1, fullplus1, rtol=1e-14, atol=1e-16)
 
     def test_output_diagonal_real_nonnegative(self):
         """|g'(net)|^2 whenever g has real Taylor coefficients."""
         t, w, ds = random_instance((2, 3, 1), "taylor3", 5)
         trace = forward(t, w, ds.inputs)
-        curv = curvature_output(t, trace)
-        diag = curv[:, 0, 0]
+        diag = output_step(t, trace, ds.targets)[1][:, 0]
         assert np.max(np.abs(diag.imag)) <= 1e-16
         assert np.all(diag.real >= 0)
 
@@ -75,9 +88,10 @@ class TestCurvatureTables:
         rng = np.random.default_rng(2)
         w = [complex_uniform(rng, (2, 2)), np.zeros((1, 2), dtype=complex)]
         trace = forward(t, w, complex_uniform(rng, (3, 2)))
-        curv2 = curvature_output(t, trace)
-        curv1 = curvature_hidden(t, trace, curv2, w[1], 1)
+        upper = output_step(t, trace, complex_uniform(rng, (3, 1)))
+        _, curv1, cplus1 = layer_step(t, trace, None, 1, upper, w[1], True)
         np.testing.assert_array_equal(curv1, np.zeros((3, 2, 2)))
+        np.testing.assert_array_equal(cplus1, np.zeros((3, 2, 2)))
 
     def test_hidden_chain_1_1_1(self):
         """Identity 1-1-1 net: hidden curvature is |w2|^2."""
@@ -85,25 +99,32 @@ class TestCurvatureTables:
         w2 = 2.0 - 1.0j
         w = [np.array([[0.7 + 0.2j]]), np.array([[w2]])]
         trace = forward(t, w, np.array([[1.5]]))
-        curv2 = curvature_output(t, trace)
-        curv1 = curvature_hidden(t, trace, curv2, w[1], 1)
+        _, curv1, _ = layer_step(t, trace, None, 1, output_step(t, trace), w[1], True)
         np.testing.assert_allclose(curv1, [[[5.0]]], rtol=1e-15)
+
+    def test_delta_only_step_matches_the_triple(self):
+        """With curvature off, the step carries the same deltas."""
+        t, w, ds = random_instance((2, 3, 3, 1), "sigmoid", 9)
+        tables = backward_tables(t, w, ds)
+        delta = None
+        for p in range(t.n_layers, 0, -1):
+            w_next = w[p] if delta is not None else None
+            delta = layer_step(t, tables.trace, ds.targets, p, delta, w_next, False)
+            np.testing.assert_array_equal(delta, tables.deltas[p - 1])
 
 
 class TestResidualAndConjTables:
     def test_identity_activation_residual_zero(self):
         t, w, ds, tables = single_linear_neuron_tables()
-        for resid in tables.residual_curvature:
-            np.testing.assert_array_equal(resid, np.zeros_like(resid))
+        for cplus in tables.cplus:
+            np.testing.assert_array_equal(cplus, np.zeros_like(cplus))
 
     def test_output_zero_residual(self):
         t = NetworkTopology((1, 1), ("sigmoid",))
         w = [np.zeros((1, 1), dtype=complex)]
         ds = Dataset(np.array([[1.0]]), np.array([[0.5]]))
         trace = forward(t, w, ds.inputs)
-        np.testing.assert_array_equal(
-            residual_curvature_output(t, trace, ds.targets), [[0.0]]
-        )
+        np.testing.assert_array_equal(output_step(t, trace, ds.targets)[2], [[0.0]])
 
     def test_output_sigmoid_zero_net_vanishes(self):
         """g''(0) = 0 kills the table even with residual 0.5."""
@@ -111,26 +132,13 @@ class TestResidualAndConjTables:
         w = [np.zeros((1, 1), dtype=complex)]
         ds = Dataset(np.array([[1.0]]), np.array([[0.0]]))
         trace = forward(t, w, ds.inputs)
-        np.testing.assert_allclose(
-            residual_curvature_output(t, trace, ds.targets), [[0.0]], atol=1e-16
-        )
-
-    def test_conj_table_zero_at_output(self):
-        t = NetworkTopology((2, 3, 2), ("sigmoid", "sigmoid"))
-        rng = np.random.default_rng(3)
-        w = [complex_uniform(rng, (3, 2)), complex_uniform(rng, (2, 3))]
-        trace = forward(t, w, complex_uniform(rng, (4, 2)))
-        np.testing.assert_array_equal(
-            conj_curvature_output(t, trace), np.zeros((4, 2, 2))
-        )
+        np.testing.assert_allclose(output_step(t, trace, ds.targets)[2], [[0.0]], atol=1e-16)
 
     def test_identity_network_tables_all_zero(self):
         t, w, ds = random_instance((2, 3, 1), "identity", 7)
         tables = backward_tables(t, w, ds)
-        for resid in tables.residual_curvature:
-            np.testing.assert_array_equal(resid, np.zeros_like(resid))
-        for cc in tables.conj_curvature:
-            np.testing.assert_array_equal(cc, np.zeros_like(cc))
+        for cplus in tables.cplus:
+            np.testing.assert_array_equal(cplus, np.zeros_like(cplus))
 
 
 class TestHessianAssembly:
@@ -286,25 +294,6 @@ class TestUpdates:
             newton_update(a, np.zeros_like(a), v, n_nodes=3)
 
 
-def sweep_tables(topology, weights, dataset, tables):
-    """Each layer's (p, curvature, conjugate-plus-residual) tables in the
-    form the training sweep builds them: diagonal (N, C) at the output."""
-    trace = tables.trace
-    p = topology.n_layers
-    curv = curvature_output_diagonal(topology, trace)
-    cplus = residual_curvature_output(topology, trace, dataset.targets)
-    out = [(p, curv, cplus)]
-    for p in range(topology.n_layers - 1, 0, -1):
-        w_next = weights[p]
-        curv = curvature_hidden(topology, trace, curv, w_next, p)
-        cplus = conj_plus_residual(
-            conj_curvature_hidden(topology, trace, cplus, w_next, p),
-            residual_curvature_hidden(topology, trace, tables.deltas[p], w_next, p),
-        )
-        out.append((p, curv, cplus))
-    return out
-
-
 def node_diagonal(h, n_nodes):
     n = h.shape[0] // n_nodes
     return np.stack([h[j * n : (j + 1) * n, j * n : (j + 1) * n] for j in range(n_nodes)])
@@ -319,12 +308,13 @@ def node_diagonal(h, n_nodes):
 )
 def test_matrix_free_curvature_matches_assembly(widths, act, n_samples, seed):
     """On random topologies up to depth 4, the node blocks and one-step
-    denominator that training computes from its tables agree with the
-    assembled reference H_ww and H_wbar_w."""
+    denominator that training computes from the layer tables agree with
+    the H_ww and H_wbar_w that hessian_pair assembles from them."""
     t, w, ds = random_instance(widths, act, seed, n_samples=n_samples, pole_margin=0.05)
     tables = backward_tables(t, w, ds)
     rng = np.random.default_rng(seed)
-    for p, curv, cplus in sweep_tables(t, w, ds, tables):
+    for p in range(1, t.n_layers + 1):
+        curv, cplus = tables.curvature[p - 1], tables.cplus[p - 1]
         h_ww, h_wbar_w = hessian_pair(tables, p)
         k = t.widths[p]
         xt, xct = sample_last(tables.trace.values[p - 1])
@@ -386,3 +376,26 @@ def test_sample_last_node_blocks_keep_sample_first_bits(n, k, k_in, full, specia
         assert_same_bits(
             node_blocks(table, xct, xct), sample_first_node_blocks(table, x, conj_right=True)
         )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    widths=st.lists(st.integers(1, 4), min_size=2, max_size=5),
+    act=st.sampled_from(["taylor3", "sigmoid", "identity"]),
+    seed=st.integers(0, 2**20),
+)
+def test_backward_recursion_matches_fd_oracle(widths, act, seed):
+    """Training and backward_tables run the same layer_step, so only the
+    finite-difference oracle checks that recursion independently: on
+    random topologies up to depth 4, every layer's H_ww is Hermitian, and
+    both blocks match the FD estimates within the scale-relative 1e-5 of
+    criterion 1."""
+    t, w, ds = random_instance(widths, act, seed)
+    tables = backward_tables(t, w, ds)
+    for p in range(1, t.n_layers + 1):
+        h_ww, h_wbar_w = hessian_pair(tables, p)
+        assert np.abs(h_ww - h_ww.conj().T).max() <= 1e-12 * max(np.abs(h_ww).max(), 1e-300)
+        fd_ww, fd_wbar_w = fd_hessians(t, w, ds, p)
+        scale = max(np.linalg.norm(fd_ww), np.linalg.norm(fd_wbar_w))
+        assert relative_error(h_ww, fd_ww, scale=scale) <= 1e-5
+        assert relative_error(h_wbar_w, fd_wbar_w, scale=scale) <= 1e-5

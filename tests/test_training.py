@@ -193,15 +193,50 @@ def test_training_never_assembles_hessian_blocks(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("training assembled a full Hessian block")
 
-    for name in ("assemble_h_ww", "assemble_h_wbar_w"):
-        monkeypatch.setattr(newton, name, refuse)
-        monkeypatch.setattr(training, name, refuse, raising=False)
+    monkeypatch.setattr(newton, "hessian_pair", refuse)
+    monkeypatch.setattr(training, "hessian_pair", refuse, raising=False)
     for method in ("newton", "pseudo_newton"):
         for act in ("taylor3", "sigmoid"):
             config = TrainConfig(method=method, step=StepConfig(omega=0.5), max_iters=30)
             rec = train(xor_topology(act), xor(), config, seed=12345)
             assert rec.iterations >= 1
             assert rec.outcome in ("success",) + FAILURE_OUTCOMES
+
+
+@pytest.mark.parametrize(
+    "method, calls",
+    [
+        ("gradient_descent", {"d1": 2, "d2": 0}),
+        ("pseudo_newton", {"d1": 2, "d2": 2}),
+        ("newton", {"d1": 2, "d2": 2}),
+    ],
+)
+def test_one_derivative_call_per_layer_and_sweep(monkeypatch, method, calls):
+    """A sweep evaluates g' (and, for the Newton-type methods, g'') once
+    per layer, at the unconjugated net sums: the conjugated-net factors
+    are their conjugates.  One iteration on 2-4-1 XOR."""
+    from holonewt.activations import ACTIVATIONS, Activation
+
+    counts = {"d1": 0, "d2": 0}
+
+    def counted(name, fn):
+        def spy(z):
+            counts[name] += 1
+            return fn(z)
+
+        return spy
+
+    act = ACTIVATIONS["sigmoid"]
+    monkeypatch.setitem(
+        ACTIVATIONS,
+        "sigmoid",
+        Activation(act.name, act.f, counted("d1", act.d1), counted("d2", act.d2)),
+    )
+    mode = "constant" if method == "gradient_descent" else "one_step_newton"
+    config = TrainConfig(method=method, step=StepConfig(mode=mode), max_iters=1)
+    rec = train(xor_topology("sigmoid"), xor(), config, seed=12345)
+    assert rec.iterations == 1
+    assert counts == calls
 
 
 def test_pseudo_newton_never_builds_the_conjugate_block_stack(monkeypatch):
