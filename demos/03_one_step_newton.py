@@ -4,15 +4,25 @@ A single identity-activation layer makes E quadratic in the weights, so
 the Newton direction points straight at the minimum and the one-step
 Newton steplength comes out as mu = 1. With omega = 1 the first
 iteration should land at machine precision.
+
+The step is taken the way a training sweep takes it: the layer's tables,
+its per-node block stacks, the coupled Newton solve, and the one-step
+steplength from the same tables, without assembling H_ww or H_wbar_w.
 """
 
 import numpy as np
 
 from holonewt import Dataset, NetworkTopology, error, forward
 from holonewt.gradient import cogradient_conj
-from holonewt.newton import backward_tables, hessian_pair, newton_update
 from holonewt.network import init_weights
-from holonewt.steplength import apply_update, one_step_mu
+from holonewt.newton import (
+    layer_step,
+    newton_update,
+    node_blocks,
+    one_step_denominator,
+    sample_last,
+)
+from holonewt.steplength import apply_update, mu_from_denominator
 
 rng = np.random.default_rng(0)
 
@@ -31,14 +41,17 @@ dataset = Dataset(x, x @ w_true.T)  # realizable targets: E has minimum 0
 weights = init_weights(topology, seed=1)
 print(f"E before: {error(topology, weights, dataset):.6f}")
 
-tables = backward_tables(topology, weights, dataset)
-cograd = cogradient_conj(tables.deltas[0], tables.trace, 1)
-h_ww, h_wbar_w = hessian_pair(tables, 1)
+trace = forward(topology, weights, dataset.inputs)
+delta, curv, cplus = layer_step(topology, trace, dataset.targets, 1, None, None, True)
+cograd = cogradient_conj(delta, trace, 1)
+xt, xct = sample_last(trace.values[0])
+a = node_blocks(curv, xct, xt)  # (c, m, m): one H_ww block per output node
+g = node_blocks(cplus, xct, xct)  # the matching H_wbar_w blocks
 print(f"H_wbar_w vanishes for identity activations: max |entry| = "
-      f"{np.abs(h_wbar_w).max():.1e}")
+      f"{np.abs(g).max():.1e}")
 
-dw = newton_update(h_ww, h_wbar_w, cograd, n_nodes=c)
-mu = one_step_mu(cograd, dw, h_ww, h_wbar_w)
+dw = newton_update(a, g, cograd)
+mu = mu_from_denominator(cograd, dw, one_step_denominator(curv, cplus, trace, 1, dw))
 print(f"one-step steplength mu = {mu:.15f}")
 
 apply_update(weights, 1, dw, mu, omega=1.0)

@@ -27,7 +27,7 @@ from .network import (
     save_checkpoint,
 )
 from .newton import backward_tables, hessian_pair, newton_update, pseudo_newton_update
-from .steplength import DegenerateStep, StepConfig, one_step_mu
+from .steplength import DegenerateStep, StepConfig
 from .training import (
     TrainConfig,
     TrialRecord,
@@ -66,7 +66,6 @@ __all__ = [
     "pseudo_newton_update",
     "DegenerateStep",
     "StepConfig",
-    "one_step_mu",
     "TrainConfig",
     "TrialRecord",
     "TrialStats",

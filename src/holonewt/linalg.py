@@ -1,17 +1,17 @@
-"""Dense complex linear algebra helpers.
+"""Stacked complex linear solve for the Newton-type node blocks.
 
-Matrices and vectors are plain numpy arrays with dtype complex128.  The
-solver is Gaussian elimination with partial pivoting; it is written out
-here (rather than delegated to numpy.linalg) because the training code
-needs a well-defined singularity signal with an explicit threshold.
+`solve` is Gaussian elimination with partial pivoting over a whole stack
+of blocks; it is written out here (rather than delegated to numpy.linalg)
+because the training code needs a well-defined singularity signal with
+an explicit threshold.
 """
 
 import numpy as np
 
 __all__ = ["SingularMatrix", "solve"]
 
-# Pivot magnitudes below PIVOT_RTOL times the largest entry of the input
-# matrix are treated as exact zeros.
+# Pivot magnitudes below PIVOT_RTOL times the largest entry of their
+# block are treated as exact zeros.
 PIVOT_RTOL = 1e-12
 
 
@@ -20,31 +20,25 @@ class SingularMatrix(Exception):
 
 
 def solve(a, b):
-    """Solve a @ x = b by Gaussian elimination with partial pivoting.
+    """Solve a[j] @ x[j] = b[j] for every block j by Gaussian elimination
+    with partial pivoting.
 
-    `a` is a square matrix or a stack (B, n, n) of them; a matrix is a
-    stack of one.  `b` is a vector (n,) or a matrix (n, m) of stacked
-    right-hand sides, with the same leading stack axis as `a`.  Every
-    block is eliminated at once, with Python looping only over columns.
+    `a` is a (B, n, n) stack of square matrices and `b` a (B, n, m) stack
+    of right-hand sides; the result has the shape of `b`.  Every block is
+    eliminated at once, with Python looping only over columns.
 
-    Raises SingularMatrix when a block is all zeros, or when a pivot
-    magnitude falls below PIVOT_RTOL times the largest entry magnitude
-    of that block; the message names the block.  The input arrays are
-    not modified.
+    Raises ValueError for any other shapes, and SingularMatrix when a
+    block is all zeros, or when a pivot magnitude falls below PIVOT_RTOL
+    times the largest entry magnitude of that block; the message names
+    the block.  The input arrays are not modified.
     """
     a = np.asarray(a)
     b = np.asarray(b)
-    stacked = a.ndim == 3
-    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError(f"expected a (B, n, n) stack of square matrices, got shape {a.shape}")
     n = a.shape[-1]
-    vector_rhs = b.ndim == a.ndim - 1
-    if vector_rhs:
-        b = b[..., None]
-    if b.shape[:-1] != a.shape[:-1]:
-        raise ValueError(f"rhs of shape {b.shape} does not fit matrix of shape {a.shape}")
-    if not stacked:
-        a, b = a[None], b[None]
+    if b.ndim != 3 or b.shape[:2] != a.shape[:2]:
+        raise ValueError(f"expected a (B, n, m) right-hand side stack for {a.shape}, got {b.shape}")
 
     # one augmented array [a | b] per block, so each row swap and each
     # elimination step updates the matrix and its right-hand sides at once
@@ -73,7 +67,4 @@ def solve(a, b):
     for k in range(n - 1, -1, -1):
         x[:, k] -= (ab[:, k, None, k + 1 : n] @ x[:, k + 1 :])[:, 0]
         x[:, k] /= ab[:, k, k, None]
-
-    if not stacked:
-        x = x[0]
-    return x[..., 0] if vector_rhs else x
+    return x

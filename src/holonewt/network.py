@@ -199,18 +199,30 @@ def _reject_constant(name):
 FINITE_JSON = {"parse_float": _finite_float, "parse_constant": _reject_constant}
 
 
+def _complex_row(sample, k, key):
+    """Sample k's `key` entries as complex numbers; each must be an
+    [re, im] pair of JSON numbers, which load_dataset parses to floats
+    (so true and false, which JSON keeps apart, are rejected)."""
+    row = []
+    for pair in sample[key]:
+        if not (isinstance(pair, list) and len(pair) == 2 and all(type(v) is float for v in pair)):
+            raise ValueError(f"sample {k}: {key} entry {pair!r} is not an [re, im] pair of numbers")
+        row.append(complex(*pair))
+    return row
+
+
 def load_dataset(path):
     """Read a JSON dataset: a list of {"input": [[re,im],...], "target": [[re,im],...]}.
 
-    Every number must be finite; NaN, Infinity and overflowing numbers
-    raise ValueError.
+    Every entry must be an [re, im] pair of finite numbers; booleans, NaN,
+    Infinity and overflowing numbers raise ValueError.
     """
     with open(path) as fh:
         doc = json.load(fh, parse_int=_finite_float, **FINITE_JSON)
     if not isinstance(doc, list) or not doc:
         raise ValueError("dataset must be a non-empty JSON array of samples")
-    inputs = [[complex(re, im) for re, im in s["input"]] for s in doc]
-    targets = [[complex(re, im) for re, im in s["target"]] for s in doc]
+    inputs = [_complex_row(s, k, "input") for k, s in enumerate(doc)]
+    targets = [_complex_row(s, k, "target") for k, s in enumerate(doc)]
     widths_in = {len(row) for row in inputs}
     widths_out = {len(row) for row in targets}
     if len(widths_in) != 1 or len(widths_out) != 1:

@@ -169,7 +169,6 @@ class BackwardTables:
     curvature and conjugate-plus-residual tables, the output layer's
     tables as (N, C) diagonals."""
 
-    topology: object
     trace: object
     deltas: list
     curvature: list
@@ -186,7 +185,7 @@ def backward_tables(topology, weights, dataset):
         upper = layer_step(topology, trace, dataset.targets, p, upper, w_next, True)
         steps.append(upper)
     deltas, curv, cplus = (list(reversed(column)) for column in zip(*steps))
-    return BackwardTables(topology, trace, deltas, curv, cplus)
+    return BackwardTables(trace, deltas, curv, cplus)
 
 
 def _assemble(table, left, right):
@@ -210,32 +209,24 @@ def hessian_pair(tables, p):
     return _assemble(tables.curvature[p - 1], xc, x), _assemble(tables.cplus[p - 1], xc, xc)
 
 
-def _node_stack(h, n_nodes):
-    """(n_nodes, n, n) node blocks: a stack as given, or the diagonal
-    blocks of a full layer matrix."""
+def _stack(h):
+    """`h` as a (K, n, n) node-block stack, or a ValueError naming that shape."""
     h = np.asarray(h)
-    if h.ndim == 3:
-        if h.shape[0] != n_nodes:
-            raise ValueError(f"stack of {h.shape[0]} node blocks for {n_nodes} nodes")
-        return h
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix or a node-block stack, got shape {h.shape}")
-    if n_nodes < 1 or h.shape[0] % n_nodes:
-        raise ValueError(f"{h.shape[0]} weights do not split evenly over {n_nodes} nodes")
-    n = h.shape[0] // n_nodes
-    return np.einsum("jajb->jab", h.reshape(n_nodes, n, n_nodes, n))
+    if h.ndim != 3 or h.shape[1] != h.shape[2]:
+        raise ValueError(f"expected a (K, n, n) node-block stack, got shape {h.shape}")
+    return h
 
 
 def _node_rows(cograd_conj, blocks):
-    """The flat cogradient as one (n_nodes, n) row per node."""
+    """The flat cogradient as one (K, n, 1) column per node block."""
     v = np.asarray(cograd_conj)
     k, n, _ = blocks.shape
     if v.shape != (k * n,):
         raise ValueError(f"cogradient of shape {v.shape} for {k} node blocks of size {n}")
-    return v.reshape(k, n)
+    return v.reshape(k, n, 1)
 
 
-def newton_update(h_ww, h_wbar_w, cograd_conj, n_nodes=1):
+def newton_update(a, g, cograd_conj):
     """Solve the coupled Newton system for the weight step, on node blocks.
 
     Eliminating the conjugate half of the stacked (w, wbar) system gives
@@ -253,27 +244,25 @@ def newton_update(h_ww, h_wbar_w, cograd_conj, n_nodes=1):
     on 4 samples caps it at rank 3 of 8) and the full solve would reject
     every step; the diagonal blocks stay well conditioned.
 
-    `h_ww` and `h_wbar_w` are full layer matrices, whose `n_nodes`
-    diagonal blocks are used, or (n_nodes, n, n) node-block stacks as
-    node_blocks builds them.  All nodes are solved in one stacked
-    elimination.  Raises ValueError when the sizes do not split over the
-    nodes and SingularMatrix if any block solve breaks down.
+    `a` and `g` are the (K, n, n) node-block stacks of H_ww and H_wbar_w
+    that node_blocks builds, one block per node; all nodes are solved in
+    one stacked elimination.  Raises ValueError for any other shape and
+    SingularMatrix if any block solve breaks down.
     """
-    a = _node_stack(h_ww, n_nodes)
-    g = _node_stack(h_wbar_w, n_nodes)
+    a, g = _stack(a), _stack(g)
+    if g.shape != a.shape:
+        raise ValueError(f"H_wbar_w stack of shape {g.shape} for an H_ww stack of shape {a.shape}")
     v = _node_rows(cograd_conj, a)
-    sol = solve(np.conj(a), np.concatenate([np.conj(g), np.conj(v)[:, :, None]], axis=2))
+    sol = solve(np.conj(a), np.concatenate([np.conj(g), np.conj(v)], axis=2))
     t, u = sol[:, :, :-1], sol[:, :, -1:]
     schur = a - g @ t
-    rhs = (g @ u)[:, :, 0] - v
-    return solve(schur, rhs).ravel()
+    return solve(schur, g @ u - v).ravel()
 
 
-def pseudo_newton_update(h_ww, cograd_conj, n_nodes=1):
+def pseudo_newton_update(a, cograd_conj):
     """Newton step with the conjugate coupling dropped: H_ww dw = -(dE/dw)*.
 
-    Solved on the same per-node diagonal blocks as newton_update, which
-    takes the same forms of `h_ww`, for the same reason.
+    Solved on the same (K, n, n) node-block stack of H_ww as newton_update.
     """
-    a = _node_stack(h_ww, n_nodes)
+    a = _stack(a)
     return solve(a, -_node_rows(cograd_conj, a)).ravel()

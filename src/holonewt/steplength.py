@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["StepConfig", "DegenerateStep", "one_step_mu", "mu_from_denominator", "apply_update"]
+__all__ = ["StepConfig", "DegenerateStep", "mu_from_denominator", "apply_update"]
 
 MODES = ("one_step_newton", "constant")
 
@@ -34,20 +34,13 @@ class StepConfig:
             raise ValueError(f"constant mu must be positive, got {self.constant_mu}")
 
 
-def one_step_mu(cograd_conj, dw, h_ww, h_wbar_w):
+def mu_from_denominator(cograd_conj, dw, denominator):
     """Steplength minimizing the quadratic model of E along dw.
 
         mu = -Re{(dE/dw) dw} / Re{dw^H H_ww dw + dw^H H_wbar_w conj(dw)}
 
-    from assembled Hessian blocks; the row vector dE/dw is the conjugate
-    transpose of `cograd_conj`.  See mu_from_denominator.
-    """
-    denominator = np.real(np.vdot(dw, h_ww @ dw) + np.vdot(dw, h_wbar_w @ np.conj(dw)))
-    return mu_from_denominator(cograd_conj, dw, denominator)
-
-
-def mu_from_denominator(cograd_conj, dw, denominator):
-    """one_step_mu given its denominator, however that was computed.
+    The row vector dE/dw is the conjugate transpose of `cograd_conj`;
+    training takes the denominator from newton.one_step_denominator.
 
     Raises DegenerateStep when the denominator is NaN, infinite or below
     1e-300 in magnitude; a negative or huge quotient is returned as-is

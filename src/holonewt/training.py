@@ -62,6 +62,9 @@ OUTCOMES = ("success",) + FAILURE_OUTCOMES
 
 DEFAULT_MAX_ITERS = {"gradient_descent": 50000, "newton": 5000, "pseudo_newton": 5000}
 
+# trials handed to a worker process at a time
+TRIAL_CHUNK = 8
+
 
 class _NonFiniteSweep(Exception):
     """Internal: a cogradient or Hessian stopped being finite mid-sweep."""
@@ -149,9 +152,9 @@ def _sweep(topology, weights, trace, targets, config):
         if not _finite(cograd, curv, cplus, *blocks):
             raise _NonFiniteSweep
         if config.method == "newton":
-            dw = newton_update(*blocks, cograd, topology.widths[p])
+            dw = newton_update(*blocks, cograd)
         else:
-            dw = pseudo_newton_update(*blocks, cograd, topology.widths[p])
+            dw = pseudo_newton_update(*blocks, cograd)
         if step.mode == "one_step_newton":
             mu = mu_from_denominator(cograd, dw, one_step_denominator(curv, cplus, trace, p, dw))
         else:
@@ -231,16 +234,19 @@ def run_trials(topology, dataset, config, n_trials, base_seed, jobs=1, record_we
 
     Trial k's result depends only on its seed and the configuration, and
     results are collected in seed order, so the output is identical for
-    any job count.
+    any job count.  Trials go to the workers in chunks of TRIAL_CHUNK, so
+    at most one worker per chunk is started, and a batch of a single
+    chunk runs in this process.
     """
     if n_trials < 1:
         raise ValueError("need at least one trial")
     args = [(topology, dataset, config, base_seed + k, record_weights) for k in range(n_trials)]
-    if jobs <= 1:
+    workers = min(jobs, -(-n_trials // TRIAL_CHUNK))
+    if workers <= 1:
         records = [_trial_worker(a) for a in args]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_trial_worker, args, chunksize=8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            records = list(pool.map(_trial_worker, args, chunksize=TRIAL_CHUNK))
     return summarize(records), records
 
 

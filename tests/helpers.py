@@ -128,3 +128,9 @@ def sample_first_node_blocks(table, x, conj_right=False):
     diag = table if table.ndim == 2 else np.diagonal(table, axis1=1, axis2=2)
     xc = np.conj(x)
     return np.einsum("tj,ti,ta->jia", diag, xc, xc if conj_right else x) / x.shape[0]
+
+
+def node_diagonal(h, n_nodes):
+    """The (n_nodes, n, n) stack of a full layer matrix's per-node diagonal blocks."""
+    n = h.shape[0] // n_nodes
+    return np.stack([h[j * n : (j + 1) * n, j * n : (j + 1) * n] for j in range(n_nodes)])

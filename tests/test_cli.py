@@ -257,7 +257,7 @@ class TestTrialsCommand:
         cfg = write_config(tmp_path, **self.CFG)
         out = tmp_path / outname
         argv = ["trials", "--config", str(cfg), "--out", str(out),
-                "--trials", "8", "--seed", "300"] + extra
+                "--trials", "16", "--seed", "300"] + extra
         return main(argv), out
 
     def test_outputs_and_summary(self, tmp_path, capsys):
@@ -266,10 +266,10 @@ class TestTrialsCommand:
         printed = capsys.readouterr().out
         assert "successes=" in printed
         stats = json.loads((out / "stats.json").read_text())
-        assert stats["n_trials"] == 8
-        assert stats["successes"] + sum(stats["failure_counts"].values()) == 8
+        assert stats["n_trials"] == 16
+        assert stats["successes"] + sum(stats["failure_counts"].values()) == 16
         rows = (out / "trials.csv").read_text().splitlines()
-        assert len(rows) == 9
+        assert len(rows) == 17
         assert rows[1].startswith("300,pseudo_newton,taylor3,")
 
     def test_jobs_do_not_change_artifacts(self, tmp_path):
@@ -513,6 +513,27 @@ class TestOutOfRangeNumbers:
         out = run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "out"))
         self.assert_rejected(out)
         assert out.stderr.startswith("holonewt: bad dataset: ")
+
+    @pytest.mark.parametrize(
+        "sample",
+        [
+            '{"input": [[true, false], [0, 0]], "target": [[0, 0]]}',
+            '{"input": [[1, 0], [0, 0]], "target": [[false, 0]]}',
+            '{"input": [[1, 0], [0, 0, 0]], "target": [[1, 0]]}',
+        ],
+    )
+    def test_dataset_entry_not_a_number_pair_exits_1(self, tmp_path, sample):
+        """JSON true and false are not numbers, even where Python would
+        take them for 1 and 0, and an entry is exactly one [re, im] pair."""
+        data = tmp_path / "data.json"
+        data.write_text(
+            '[{"input": [[0, 0], [1, 0]], "target": [[0, 0]]},'
+            f" {sample}]"
+        )
+        cfg = write_config(tmp_path, dataset_path="data.json")
+        out = run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        self.assert_rejected(out)
+        assert out.stderr.startswith("holonewt: bad dataset: sample 1: ")
 
     @staticmethod
     def out_args(tmp_path, command):

@@ -8,26 +8,31 @@ from holonewt.linalg import SingularMatrix, solve
 from helpers import complex_uniform
 
 
+def column(*entries):
+    """A one-block stack holding one right-hand side column."""
+    return np.array(entries, dtype=complex).reshape(1, -1, 1)
+
+
 def test_solve_identity():
-    b = np.array([3 + 1j, -2 + 0j])
-    np.testing.assert_array_equal(solve(np.eye(2, dtype=complex), b), b)
+    b = column(3 + 1j, -2 + 0j)
+    np.testing.assert_array_equal(solve(np.eye(2, dtype=complex)[None], b), b)
 
 
 def test_solve_diagonal():
-    a = np.array([[2, 0], [0, 1j]], dtype=complex)
-    x = solve(a, np.array([2, 1j]))
-    np.testing.assert_allclose(x, [1, 1], atol=1e-15)
+    a = np.array([[[2, 0], [0, 1j]]], dtype=complex)
+    x = solve(a, column(2, 1j))
+    np.testing.assert_allclose(x, column(1, 1), atol=1e-15)
 
 
 def test_solve_rank_deficient_raises():
-    a = np.ones((2, 2), dtype=complex)
+    a = np.ones((1, 2, 2), dtype=complex)
     with pytest.raises(SingularMatrix):
-        solve(a, np.array([1.0, 2.0]))
+        solve(a, column(1.0, 2.0))
 
 
 def test_solve_zero_matrix_raises():
     with pytest.raises(SingularMatrix):
-        solve(np.zeros((3, 3)), np.zeros(3))
+        solve(np.zeros((1, 3, 3)), np.zeros((1, 3, 1)))
 
 
 def test_solve_matrix_rhs():
@@ -35,24 +40,35 @@ def test_solve_matrix_rhs():
     rng = np.random.default_rng(7)
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     b = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
-    x = solve(a, b)
+    x = solve(a[None], b[None])[0]
     np.testing.assert_allclose(a @ x, b, atol=1e-12)
 
 
 def test_solve_rejects_shape_mismatch():
     with pytest.raises(ValueError):
-        solve(np.ones((2, 3)), np.ones(2))
+        solve(np.ones((1, 2, 3)), np.ones((1, 2, 1)))
     with pytest.raises(ValueError):
-        solve(np.eye(2), np.ones(3))
+        solve(np.eye(2)[None], np.ones((1, 3, 1)))
     with pytest.raises(ValueError):
-        solve(np.ones((2, 3, 3)), np.ones((3, 3)))
+        solve(np.ones((2, 3, 3)), np.ones((1, 3, 1)))
     with pytest.raises(ValueError):
         solve(np.ones((2, 2, 2, 2)), np.ones((2, 2, 2)))
 
 
+@pytest.mark.parametrize(
+    "a_shape, b_shape",
+    [((2, 2), (2, 1)), ((2, 2), (2,)), ((1, 2, 2), (1, 2)), ((1, 2, 2), (2, 1)), ((2,), (2, 1))],
+)
+def test_solve_takes_only_stacks(a_shape, b_shape):
+    """A single matrix or a vector right-hand side is a shape error that
+    names the expected stack."""
+    with pytest.raises(ValueError, match=r"expected a \(B, n, (n|m)\)"):
+        solve(np.ones(a_shape, dtype=complex), np.ones(b_shape, dtype=complex))
+
+
 def test_solve_does_not_mutate_inputs():
-    a = np.array([[2.0, 1.0], [1.0, 3.0]], dtype=complex)
-    b = np.array([1.0, 1.0], dtype=complex)
+    a = np.array([[[2.0, 1.0], [1.0, 3.0]]], dtype=complex)
+    b = column(1.0, 1.0)
     a0, b0 = a.copy(), b.copy()
     solve(a, b)
     np.testing.assert_array_equal(a, a0)
@@ -73,15 +89,15 @@ def test_solve_residual_well_conditioned():
         if np.linalg.cond(a) >= 1e6:
             continue
         b = rng.uniform(-1, 1, size=n) + 1j * rng.uniform(-1, 1, size=n)
-        x = solve(a, b)
+        x = solve(a[None], b[None, :, None])[0, :, 0]
         assert np.linalg.norm(a @ x - b) <= 1e-8 * (1 + np.linalg.norm(b))
         checked += 1
     assert checked >= 90
 
 
 def test_solve_pivoting_handles_zero_leading_entry():
-    a = np.array([[0, 1], [1, 0]], dtype=complex)
-    np.testing.assert_allclose(solve(a, np.array([2.0, 3.0])), [3, 2], atol=1e-15)
+    a = np.array([[[0, 1], [1, 0]]], dtype=complex)
+    np.testing.assert_allclose(solve(a, column(2.0, 3.0)), column(3, 2), atol=1e-15)
 
 
 def dominant_stack(rng, blocks, n):
@@ -93,19 +109,18 @@ def dominant_stack(rng, blocks, n):
 @given(
     blocks=st.integers(1, 6),
     n=st.integers(1, 6),
-    rhs_cols=st.sampled_from([None, 1, 3]),
+    rhs_cols=st.sampled_from([1, 3]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_stacked_solve_matches_per_block_numpy(blocks, n, rhs_cols, seed):
     rng = np.random.default_rng(seed)
     a = dominant_stack(rng, blocks, n)
-    shape = (blocks, n) if rhs_cols is None else (blocks, n, rhs_cols)
-    b = complex_uniform(rng, shape)
+    b = complex_uniform(rng, (blocks, n, rhs_cols))
     x = solve(a, b)
     assert x.shape == b.shape
     for j in range(blocks):
         np.testing.assert_allclose(x[j], np.linalg.solve(a[j], b[j]), rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(solve(a[j], b[j]), x[j], rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(solve(a[j : j + 1], b[j : j + 1])[0], x[j], rtol=1e-12, atol=1e-14)
 
 
 @settings(max_examples=60, deadline=None)
@@ -129,5 +144,5 @@ def test_stacked_solve_names_the_singular_block(blocks, n, kind, data, seed):
         a[bad, -1] = complex_uniform(rng, (n - 1,)) @ a[bad, :-1]
     a0 = a.copy()
     with pytest.raises(SingularMatrix, match=rf"^block {bad}: (matrix of zeros|pivot \S+ below \S+)$"):
-        solve(a, complex_uniform(rng, (blocks, n)))
+        solve(a, complex_uniform(rng, (blocks, n, 1)))
     np.testing.assert_array_equal(a, a0)

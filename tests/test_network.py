@@ -231,3 +231,14 @@ def test_load_dataset_rejects_ragged(tmp_path):
 def test_dataset_length_mismatch():
     with pytest.raises(ValueError):
         Dataset(np.zeros((3, 2)), np.zeros((2, 1)))
+
+
+@pytest.mark.parametrize("pair", ["[true, 0]", "[0, false]", "[1]", "[1, 0, 0]", "1"])
+def test_load_dataset_rejects_entries_that_are_not_number_pairs(tmp_path, pair):
+    path = tmp_path / "bad.json"
+    path.write_text(
+        '[{"input": [[0,0]], "target": [[0,0]]},'
+        f' {{"input": [{pair}], "target": [[0,0]]}}]'
+    )
+    with pytest.raises(ValueError, match=r"^sample 1: input entry .* not an \[re, im\] pair"):
+        load_dataset(path)

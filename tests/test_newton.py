@@ -18,7 +18,7 @@ from holonewt.newton import (
     sample_last,
 )
 
-from helpers import complex_uniform, random_instance, sample_first_node_blocks
+from helpers import complex_uniform, node_diagonal, random_instance, sample_first_node_blocks
 
 
 def single_linear_neuron_tables():
@@ -193,13 +193,13 @@ class TestHessianAssembly:
 class TestUpdates:
     def test_single_linear_neuron_newton(self):
         _, _, _, tables = single_linear_neuron_tables()
-        h_ww, h_wbar_w = hessian_pair(tables, 1)
+        h_ww, h_wbar_w = (h[None] for h in hessian_pair(tables, 1))
         cog = cogradient_conj(tables.deltas[0], tables.trace, 1)
         np.testing.assert_array_equal(newton_update(h_ww, h_wbar_w, cog), [1.0])
         np.testing.assert_array_equal(pseudo_newton_update(h_ww, cog), [1.0])
 
     def test_zero_cogradient_zero_update(self):
-        h = np.eye(3, dtype=complex)
+        h = np.eye(3, dtype=complex)[None]
         np.testing.assert_array_equal(
             pseudo_newton_update(h, np.zeros(3, dtype=complex)), np.zeros(3)
         )
@@ -208,9 +208,9 @@ class TestUpdates:
         """H_wbar_w = 0 degenerates the coupled formula exactly."""
         rng = np.random.default_rng(30)
         a = complex_uniform(rng, (4, 4))
-        a = a @ a.conj().T + 4 * np.eye(4)
+        a = (a @ a.conj().T + 4 * np.eye(4))[None]
         v = complex_uniform(rng, (4,))
-        zero = np.zeros((4, 4), dtype=complex)
+        zero = np.zeros_like(a)
         np.testing.assert_array_equal(
             newton_update(a, zero, v), pseudo_newton_update(a, v)
         )
@@ -218,13 +218,10 @@ class TestUpdates:
     def test_newton_equals_pseudo_on_identity_network(self):
         t, w, ds = random_instance((3, 2), "identity", 31, n_samples=4)
         tables = backward_tables(t, w, ds)
-        h_ww, h_wbar_w = hessian_pair(tables, 1)
-        cog = cogradient_conj(tables.deltas[0], tables.trace, 1)
         nodes = t.widths[1]
-        np.testing.assert_array_equal(
-            newton_update(h_ww, h_wbar_w, cog, nodes),
-            pseudo_newton_update(h_ww, cog, nodes),
-        )
+        a, g = (node_diagonal(h, nodes) for h in hessian_pair(tables, 1))
+        cog = cogradient_conj(tables.deltas[0], tables.trace, 1)
+        np.testing.assert_array_equal(newton_update(a, g, cog), pseudo_newton_update(a, cog))
 
     def test_per_node_solve_equals_full_solve_when_block_diagonal(self):
         """On an exactly block-diagonal system the per-node solve and a
@@ -234,7 +231,7 @@ class TestUpdates:
         tables = backward_tables(t, w, ds)
         h_ww, h_wbar_w = hessian_pair(tables, 2)
         cog = cogradient_conj(tables.deltas[1], tables.trace, 2)
-        blockwise = pseudo_newton_update(h_ww, cog, n_nodes=2)
+        blockwise = pseudo_newton_update(node_diagonal(h_ww, 2), cog)
         dense = np.linalg.solve(h_ww, -cog)
         np.testing.assert_allclose(blockwise, dense, rtol=1e-12, atol=1e-15)
 
@@ -245,58 +242,50 @@ class TestUpdates:
         tables = backward_tables(t, w, ds)
         h_ww, h_wbar_w = hessian_pair(tables, 2)
         cog = cogradient_conj(tables.deltas[1], tables.trace, 2)
-        dw = newton_update(h_ww, h_wbar_w, cog, n_nodes=2)
+        dw = newton_update(node_diagonal(h_ww, 2), node_diagonal(h_wbar_w, 2), cog)
         residual = h_ww @ dw + h_wbar_w @ np.conj(dw) + cog
         assert np.linalg.norm(residual) <= 1e-10 * max(np.linalg.norm(cog), 1.0)
 
     def test_singular_block_raises(self):
-        h = np.zeros((2, 2), dtype=complex)
-        h[0, 0] = 1.0
+        h = np.zeros((1, 2, 2), dtype=complex)
+        h[0, 0, 0] = 1.0
         with pytest.raises(SingularMatrix):
             pseudo_newton_update(h, np.array([1.0, 1.0], dtype=complex))
         with pytest.raises(SingularMatrix):
-            newton_update(h, np.zeros((2, 2), dtype=complex), np.ones(2, dtype=complex))
+            newton_update(h, np.zeros_like(h), np.ones(2, dtype=complex))
 
-    def test_per_node_blocks_are_independent(self):
-        """Entries outside the diagonal blocks cannot influence the
-        per-node solution."""
-        rng = np.random.default_rng(34)
-        a = complex_uniform(rng, (6, 6)) + 6 * np.eye(6)
-        v = complex_uniform(rng, (6,))
-        masked = a.copy()
-        masked[:3, 3:] = 0
-        masked[3:, :3] = 0
-        np.testing.assert_array_equal(
-            pseudo_newton_update(a, v, n_nodes=2),
-            pseudo_newton_update(masked, v, n_nodes=2),
-        )
-
-    def test_sizes_that_do_not_split_over_the_nodes_are_rejected(self):
-        h = np.eye(5, dtype=complex)
-        v = np.ones(5, dtype=complex)
-        with pytest.raises(ValueError, match="do not split"):
-            pseudo_newton_update(h, v, n_nodes=2)
-        with pytest.raises(ValueError, match="do not split"):
-            newton_update(h, np.zeros_like(h), v, n_nodes=2)
+    def test_stack_and_cogradient_shapes_are_checked(self):
         stack = np.stack([np.eye(2, dtype=complex)] * 2)
+        v = np.ones(5, dtype=complex)
         with pytest.raises(ValueError, match="cogradient"):
-            pseudo_newton_update(stack, v, n_nodes=2)
+            pseudo_newton_update(stack, v)
         with pytest.raises(ValueError, match="node blocks"):
-            pseudo_newton_update(stack, v[:4], n_nodes=3)
+            newton_update(stack, np.zeros_like(stack), v[:3])
+        with pytest.raises(ValueError, match="H_wbar_w stack"):
+            newton_update(stack, np.zeros((2, 3, 3), dtype=complex), v[:4])
+
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 2, 3), (4,)])
+    def test_anything_but_a_node_block_stack_is_rejected(self, shape):
+        """A full layer matrix, a non-square stack or a vector is a shape error
+        that names the expected stack."""
+        h = np.ones(shape, dtype=complex)
+        v = np.ones(4, dtype=complex)
+        stack = np.stack([np.eye(2, dtype=complex)] * 2)
+        with pytest.raises(ValueError, match=r"expected a \(K, n, n\) node-block stack"):
+            pseudo_newton_update(h, v)
+        with pytest.raises(ValueError, match=r"expected a \(K, n, n\) node-block stack"):
+            newton_update(h, stack, v)
+        with pytest.raises(ValueError, match=r"expected a \(K, n, n\) node-block stack"):
+            newton_update(stack, h, v)
 
     def test_singular_block_is_named(self):
         a = np.stack([np.eye(2, dtype=complex)] * 3)
         a[2] = [[1.0, 2.0], [2.0, 4.0]]
         v = np.ones(6, dtype=complex)
         with pytest.raises(SingularMatrix, match="^block 2: pivot"):
-            pseudo_newton_update(a, v, n_nodes=3)
+            pseudo_newton_update(a, v)
         with pytest.raises(SingularMatrix, match="^block 2: pivot"):
-            newton_update(a, np.zeros_like(a), v, n_nodes=3)
-
-
-def node_diagonal(h, n_nodes):
-    n = h.shape[0] // n_nodes
-    return np.stack([h[j * n : (j + 1) * n, j * n : (j + 1) * n] for j in range(n_nodes)])
+            newton_update(a, np.zeros_like(a), v)
 
 
 @settings(max_examples=40, deadline=None)
@@ -330,14 +319,18 @@ def test_matrix_free_curvature_matches_assembly(widths, act, n_samples, seed):
         size = abs(np.vdot(dw, h_ww @ dw)) + abs(np.vdot(dw, h_wbar_w @ np.conj(dw)))
         assert abs(denominator - reference) <= 1e-12 * max(size, 1e-300)
 
-        # a full matrix and the stack of its node blocks give the same step
+        # training's step from its own stacks solves each node's coupled
+        # system as hessian_pair assembles it, wherever that is well posed
         cog = cogradient_conj(tables.deltas[p - 1], tables.trace, p)
-        try:
-            full = newton_update(h_ww, h_wbar_w, cog, k)
-        except SingularMatrix:
+        ref_a, ref_g = node_diagonal(h_ww, k), node_diagonal(h_wbar_w, k)
+        coupled = np.block([[ref_a, ref_g], [np.conj(ref_g), np.conj(ref_a)]])
+        if max(np.linalg.cond(ref_a).max(), np.linalg.cond(coupled).max()) > 1e4:
             continue
-        stack = newton_update(node_diagonal(h_ww, k), node_diagonal(h_wbar_w, k), cog, k)
-        np.testing.assert_array_equal(stack, full)
+        dw = newton_update(a, g, cog).reshape(k, -1, 1)
+        v = cog.reshape(k, -1, 1)
+        residual = ref_a @ dw + ref_g @ np.conj(dw) + v
+        bound = 1e-10 * (np.abs(coupled).max() * np.abs(dw).max() + np.abs(v).max())
+        assert np.abs(residual).max() <= bound
 
 
 def assert_same_bits(got, ref):

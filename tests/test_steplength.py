@@ -2,19 +2,26 @@ import numpy as np
 import pytest
 
 from holonewt import Dataset, NetworkTopology, error
+from holonewt.fdcheck import real_quadratic_form
 from holonewt.gradient import cogradient_conj
-from holonewt.newton import backward_tables, hessian_pair, newton_update
-from holonewt.steplength import (
-    DegenerateStep,
-    StepConfig,
-    apply_update,
-    mu_from_denominator,
-    one_step_mu,
+from holonewt.newton import (
+    backward_tables,
+    newton_update,
+    node_blocks,
+    one_step_denominator,
+    sample_last,
 )
+from holonewt.steplength import DegenerateStep, StepConfig, apply_update, mu_from_denominator
 from holonewt.training import TrainConfig, train
 
 from conftest import XOR_INPUTS, XOR_TARGETS
 from helpers import complex_uniform
+
+
+def mu_from_blocks(cograd_conj, dw, h_ww, h_wbar_w):
+    """mu_from_denominator with the denominator from assembled blocks,
+    Re{dw^H H_ww dw + dw^H H_wbar_w conj(dw)}."""
+    return mu_from_denominator(cograd_conj, dw, real_quadratic_form(h_ww, h_wbar_w, dw) / 2)
 
 
 class TestStepConfig:
@@ -41,7 +48,7 @@ class TestStepConfig:
 
 def test_one_step_mu_single_linear_neuron():
     """cograd -1, dw 1, H_ww 1: numerator and denominator are both 1."""
-    mu = one_step_mu(
+    mu = mu_from_blocks(
         np.array([-1.0 + 0j]),
         np.array([1.0 + 0j]),
         np.array([[1.0 + 0j]]),
@@ -55,13 +62,13 @@ def test_one_step_mu_exact_on_quadratic():
     for w in (0.3 + 0.7j, -2.0, 5j):
         cog = np.array([w])
         dw = np.array([-w])
-        mu = one_step_mu(cog, dw, np.array([[1.0 + 0j]]), np.array([[0.0 + 0j]]))
+        mu = mu_from_blocks(cog, dw, np.array([[1.0 + 0j]]), np.array([[0.0 + 0j]]))
         assert mu == pytest.approx(1.0, rel=1e-15)
 
 
 def test_one_step_mu_degenerate_denominator():
     with pytest.raises(DegenerateStep):
-        one_step_mu(
+        mu_from_blocks(
             np.array([1.0 + 0j]),
             np.array([1.0 + 0j]),
             np.array([[0.0 + 0j]]),
@@ -77,7 +84,7 @@ def test_non_finite_denominator_is_degenerate(denominator):
 
 def test_one_step_mu_negative_passes_through():
     """A negative quotient is returned unclamped."""
-    mu = one_step_mu(
+    mu = mu_from_blocks(
         np.array([-1.0 + 0j]),
         np.array([1.0 + 0j]),
         np.array([[-1.0 + 0j]]),
@@ -91,7 +98,7 @@ def test_one_step_mu_uses_coupling_term():
     cog = np.array([-1.0 + 0j])
     dw = np.array([1.0 + 0j])
     h_ww = np.array([[1.0 + 0j]])
-    assert one_step_mu(cog, dw, h_ww, np.array([[1.0 + 0j]])) == pytest.approx(0.5)
+    assert mu_from_blocks(cog, dw, h_ww, np.array([[1.0 + 0j]])) == pytest.approx(0.5)
 
 
 def test_one_step_mu_scale_covariance():
@@ -103,9 +110,9 @@ def test_one_step_mu_scale_covariance():
     h_wbar_w = 0.1 * complex_uniform(rng, (n, n))
     cog = complex_uniform(rng, (n,))
     dw = complex_uniform(rng, (n,))
-    mu = one_step_mu(cog, dw, h_ww, h_wbar_w)
+    mu = mu_from_blocks(cog, dw, h_ww, h_wbar_w)
     for c in (2.0, 0.25, 10.0):
-        mu_c = one_step_mu(cog, c * dw, h_ww, h_wbar_w)
+        mu_c = mu_from_blocks(cog, c * dw, h_ww, h_wbar_w)
         assert mu_c == pytest.approx(mu / c, rel=1e-12)
         np.testing.assert_allclose(mu_c * (c * dw), mu * dw, rtol=1e-12)
 
@@ -147,10 +154,11 @@ def test_quadratic_one_step_exactness():
         ds = Dataset(x, x @ w_true.T)
         w = [complex_uniform(rng, (c, m))]
         tables = backward_tables(t, w, ds)
-        h_ww, h_wbar_w = hessian_pair(tables, 1)
-        cog = cogradient_conj(tables.deltas[0], tables.trace, 1)
-        dw = newton_update(h_ww, h_wbar_w, cog, t.widths[1])
-        mu = one_step_mu(cog, dw, h_ww, h_wbar_w)
+        curv, cplus, trace = tables.curvature[0], tables.cplus[0], tables.trace
+        xt, xct = sample_last(trace.values[0])
+        cog = cogradient_conj(tables.deltas[0], trace, 1)
+        dw = newton_update(node_blocks(curv, xct, xt), node_blocks(cplus, xct, xct), cog)
+        mu = mu_from_denominator(cog, dw, one_step_denominator(curv, cplus, trace, 1, dw))
         apply_update(w, 1, dw, mu, omega=1.0)
         assert error(t, w, ds) <= 1e-18
 

@@ -307,11 +307,43 @@ class TestRunTrials:
             max_iters=60,
         )
         t = xor_topology()
-        _, serial = run_trials(t, xor(), cfg, 8, 300, jobs=1)
-        _, parallel = run_trials(t, xor(), cfg, 8, 300, jobs=2)
+        _, serial = run_trials(t, xor(), cfg, 16, 300, jobs=1)
+        _, parallel = run_trials(t, xor(), cfg, 16, 300, jobs=2)
         for a, b in zip(serial, parallel):
             assert (a.seed, a.outcome, a.iterations) == (b.seed, b.outcome, b.iterations)
             assert a.final_error == b.final_error
+
+    @pytest.mark.parametrize(
+        "n_trials, jobs, workers",
+        [(2, 3, None), (8, 2, None), (9, 64, 2), (16, 3, 2), (17, 3, 3), (40, 2, 2)],
+    )
+    def test_one_worker_per_chunk_at_most(self, monkeypatch, n_trials, jobs, workers):
+        """No more workers than chunks of TRIAL_CHUNK trials, and no pool
+        at all for a single chunk.  The executor is a spy that maps in
+        this process, so no worker process is started."""
+        from holonewt import training
+
+        started = []
+
+        class SpyExecutor:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args, chunksize):
+                assert chunksize == training.TRIAL_CHUNK
+                return map(fn, args)
+
+        monkeypatch.setattr(training, "ProcessPoolExecutor", SpyExecutor)
+        cfg = TrainConfig(method="pseudo_newton", max_iters=2)
+        _, records = run_trials(xor_topology(), xor(), cfg, n_trials, 7, jobs=jobs)
+        assert started == ([] if workers is None else [workers])
+        assert [r.seed for r in records] == list(range(7, 7 + n_trials))
 
     def test_rejects_empty_batch(self):
         with pytest.raises(ValueError):
