@@ -16,6 +16,7 @@ tolerance).
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -214,17 +215,20 @@ def cmd_train(args):
         for n, e in enumerate(record.error_history):
             fh.write(f"{n},{e!r}\n")
     record_path = outdir / "trial_record.json"
+    # strict JSON, as in verify: a non-finite final error is written as null
+    final_error = record.final_error if math.isfinite(record.final_error) else None
     with open(record_path, "w") as fh:
         json.dump(
             {
                 "seed": record.seed,
                 "outcome": record.outcome,
                 "iterations": record.iterations,
-                "final_error": record.final_error,
+                "final_error": final_error,
                 "stalled": record.stalled,
             },
             fh,
             indent=1,
+            allow_nan=False,
         )
         fh.write("\n")
     _write_manifest(outdir, "train", doc, [ckpt, history, record_path], started)

@@ -127,7 +127,9 @@ def init_weights(topology, seed, init_range=1.0):
 
 def forward(topology, weights, inputs):
     """Run the batch through every layer, recording nets and values."""
-    x = np.atleast_2d(np.asarray(inputs, dtype=complex))
+    x = np.asarray(inputs, dtype=complex)
+    if x.ndim < 2:
+        x = np.atleast_2d(x)
     if x.shape[1] != topology.widths[0]:
         raise ValueError(f"inputs have width {x.shape[1]}, expected {topology.widths[0]}")
     trace = ForwardTrace(values=[x])
@@ -142,7 +144,7 @@ def forward(topology, weights, inputs):
 def error_from_trace(trace, targets):
     """Mean over samples of the squared error summed across outputs."""
     r = trace.outputs - targets
-    return float(np.mean(np.sum(r.real**2 + r.imag**2, axis=1)))
+    return float(np.add.reduce(r.real**2 + r.imag**2, axis=1).sum() / r.shape[0])
 
 
 def error(topology, weights, dataset):
@@ -165,20 +167,46 @@ def save_checkpoint(path, topology, weights):
         fh.write("\n")
 
 
+def _weight(pair, p, k):
+    """Layer p's weight entry k as a complex number.  It must be an
+    [re, im] pair of JSON numbers (true and false are not numbers); the
+    FINITE_JSON hooks have already rejected non-finite floats, and an
+    integer too large for a float is rejected here."""
+    if isinstance(pair, list) and len(pair) == 2 and all(type(v) in (int, float) for v in pair):
+        try:
+            return complex(*pair)
+        except OverflowError:
+            pass
+    raise ValueError(f"layer {p}: weight {k} {pair!r} is not an [re, im] pair of finite numbers")
+
+
 def load_checkpoint(path):
+    """Read a checkpoint written by save_checkpoint.
+
+    Widths must be integers, activations known names and every weight an
+    [re, im] pair of finite numbers; anything else, NaN and Infinity
+    included, raises ValueError.
+    """
     with open(path) as fh:
-        doc = json.load(fh)
-    topology = NetworkTopology(tuple(doc["widths"]), tuple(doc["activations"]))
-    layers = doc["layers"]
-    if len(layers) != topology.n_layers:
-        raise ValueError(f"checkpoint has {len(layers)} layers, topology needs {topology.n_layers}")
+        doc = json.load(fh, **FINITE_JSON)
+    if not (isinstance(doc, dict) and {"widths", "activations", "layers"} <= set(doc)):
+        raise ValueError("checkpoint must be an object with widths, activations and layers")
+    widths, activations, layers = doc["widths"], doc["activations"], doc["layers"]
+    if not (isinstance(widths, list) and all(type(w) is int for w in widths)):
+        raise ValueError(f"checkpoint widths should be integers, got {widths!r}")
+    if not (isinstance(activations, list) and all(isinstance(a, str) for a in activations)):
+        raise ValueError(f"checkpoint activations should be names, got {activations!r}")
+    try:
+        topology = NetworkTopology(tuple(widths), tuple(activations))
+    except KeyError as exc:
+        raise ValueError(exc.args[0]) from None
+    if not isinstance(layers, list) or len(layers) != topology.n_layers:
+        raise ValueError(f"checkpoint needs {topology.n_layers} weight layers for widths {topology.widths}")
     weights = []
     for p, entries in enumerate(layers, start=1):
-        if len(entries) != topology.layer_size(p):
-            raise ValueError(
-                f"layer {p} has {len(entries)} weights, expected {topology.layer_size(p)}"
-            )
-        flat = np.array([complex(re, im) for re, im in entries])
+        if not isinstance(entries, list) or len(entries) != topology.layer_size(p):
+            raise ValueError(f"layer {p} should hold {topology.layer_size(p)} weights")
+        flat = np.array([_weight(pair, p, k) for k, pair in enumerate(entries)])
         weights.append(flat.reshape(topology.widths[p], topology.widths[p - 1]))
     return topology, weights
 

@@ -17,9 +17,10 @@ At the output layer the conjugate table vanishes and the curvature and
 residual tables are diagonal, so layer_step keeps both tables there as
 (N, C) diagonals, and both output-layer blocks are block diagonal with
 one block per output node.  layer_step evaluates g' and g'' once per
-layer, at the unconjugated net sums; the factors at the conjugated net
-sums are their conjugates, since every activation has real Taylor
-coefficients (see activations).
+layer, at the unconjugated net sums and from the forward values there,
+so the sigmoid's exp runs once per layer per iteration, in the forward
+pass; the factors at the conjugated net sums are their conjugates, since
+every activation has real Taylor coefficients (see activations).
 
 Training runs layer_step inside its sweep, on the downstream weights as
 already updated there, and never assembles H_ww or H_wbar_w: it builds
@@ -104,8 +105,8 @@ def layer_step(topology, trace, targets, p, upper, w_next, curvature):
     through the conjugated weights.
     """
     act = topology.activation(p)
-    net = trace.nets[p - 1]
-    d1 = act.d1(net)
+    net, g = trace.nets[p - 1], trace.values[p]
+    d1 = act.d1(net, g)
     d1c = np.conj(d1)
     if upper is None:
         back = trace.outputs - targets
@@ -115,7 +116,7 @@ def layer_step(topology, trace, targets, p, upper, w_next, curvature):
     delta = back * d1c
     if not curvature:
         return delta
-    resid = back * np.conj(act.d2(net))
+    resid = back * np.conj(act.d2(net, g))
     if upper is None:
         return delta, d1c * d1, resid
     _, curv_next, cplus_next = upper

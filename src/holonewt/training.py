@@ -20,6 +20,7 @@ Outcomes, in classification precedence order:
 
 import csv
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
@@ -127,7 +128,7 @@ def _flat_weights(weights):
 
 
 def _finite(*arrays):
-    return all(np.all(np.isfinite(a)) for a in arrays)
+    return all(np.isfinite(a).all() for a in arrays)
 
 
 def _sweep(topology, weights, trace, targets, config):
@@ -176,7 +177,7 @@ def train(topology, dataset, config, seed, keep_history=True, record_weights=Fal
             trace = forward(topology, weights, dataset.inputs)
             e = error_from_trace(trace, dataset.targets)
             history.append(e)
-            if not np.isfinite(e):
+            if not math.isfinite(e):
                 nonfinite = True
                 break
             if e < config.error_target or e > config.blowup_threshold:

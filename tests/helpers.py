@@ -11,6 +11,17 @@ import numpy as np
 from holonewt import Dataset, NetworkTopology, forward
 from holonewt.activations import distance_to_sigmoid_poles
 from holonewt.fdcheck import FDConfig, fd_real_hessian
+from holonewt.steplength import StepConfig
+
+# the five-config XOR battery of acceptance criterion 5 (2-4-1 net):
+# name -> (activation, method, steplength); tests/golden/<name>.csv pins it
+BATTERY = {
+    "taylor3_pseudo": ("taylor3", "pseudo_newton", StepConfig(mode="one_step_newton", omega=0.5)),
+    "taylor3_gd": ("taylor3", "gradient_descent", StepConfig(mode="constant", constant_mu=1.0)),
+    "sigmoid_gd": ("sigmoid", "gradient_descent", StepConfig(mode="constant", constant_mu=1.0)),
+    "sigmoid_newton": ("sigmoid", "newton", StepConfig(mode="one_step_newton", omega=0.5)),
+    "sigmoid_pseudo": ("sigmoid", "pseudo_newton", StepConfig(mode="one_step_newton", omega=0.5)),
+}
 
 
 def complex_uniform(rng, shape):

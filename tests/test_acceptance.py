@@ -44,7 +44,7 @@ from holonewt.training import (
 )
 
 from conftest import XOR_INPUTS, XOR_TARGETS
-from helpers import complex_uniform, fd_hessians_conj, random_instance
+from helpers import BATTERY, complex_uniform, fd_hessians_conj, random_instance
 
 XOR = Dataset(XOR_INPUTS.copy(), XOR_TARGETS.copy())
 BASE_SEED = 12345
@@ -215,15 +215,6 @@ def test_criterion_4_one_step_quadratic_convergence():
         f"iteration ({skipped} ill-conditioned draws skipped)"
         + (f"; failures {failures[:3]}" if failures else ""),
     )
-
-
-BATTERY = {
-    "taylor3_pseudo": ("taylor3", "pseudo_newton", StepConfig(mode="one_step_newton", omega=0.5)),
-    "taylor3_gd": ("taylor3", "gradient_descent", StepConfig(mode="constant", constant_mu=1.0)),
-    "sigmoid_gd": ("sigmoid", "gradient_descent", StepConfig(mode="constant", constant_mu=1.0)),
-    "sigmoid_newton": ("sigmoid", "newton", StepConfig(mode="one_step_newton", omega=0.5)),
-    "sigmoid_pseudo": ("sigmoid", "pseudo_newton", StepConfig(mode="one_step_newton", omega=0.5)),
-}
 
 
 def _run_battery(outdir, jobs):

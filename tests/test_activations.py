@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from holonewt.activations import (
     ACTIVATIONS,
@@ -98,3 +100,32 @@ def test_distance_to_sigmoid_poles():
     # vectorized form
     d = distance_to_sigmoid_poles(np.array([0.0, 1j * np.pi, 100 + 1j * np.pi]))
     np.testing.assert_allclose(d, [np.pi, 0.0, 100.0], atol=1e-9)
+
+
+# points anywhere in a wide box, and points within 1e-6 of a sigmoid pole
+# i*pi*(2k+1), where g = f(z) is huge and its derivatives overflow
+_BOX = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+_NEAR_POLE = st.builds(
+    lambda k, re, im: complex(re, np.pi * (2 * k + 1) + im),
+    st.integers(-50, 50),
+    st.floats(-1e-6, 1e-6),
+    st.floats(-1e-6, 1e-6),
+)
+
+
+@pytest.mark.parametrize("name", sorted(ACTIVATIONS))
+@settings(max_examples=200, deadline=None)
+@given(z=st.lists(st.one_of(_BOX, _NEAR_POLE), min_size=1, max_size=8))
+@example(z=[1j * np.pi, -3j * np.pi, 1j * np.pi + 1e-9])  # at and next to the poles
+@example(z=[-710.0 + 0j, -800.0 + 1j, -1000.0 - 3j, 800.0 + 0j])  # exp(-z) overflows
+@example(z=[0j, 1.0 + 0j])
+def test_derivatives_from_the_forward_value_are_bit_identical(name, z):
+    """d1(z, f(z)) and d2(z, f(z)) equal d1(z) and d2(z) to the bit,
+    NaN and infinite parts included, so layer_step may pass the forward
+    values without moving the training arithmetic."""
+    act = ACTIVATIONS[name]
+    z = np.array(z, dtype=complex)
+    with np.errstate(all="ignore"):
+        g = act.f(z)
+        for fn in (act.d1, act.d2):
+            np.testing.assert_array_equal(fn(z, g).view(float), fn(z).view(float))

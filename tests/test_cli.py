@@ -249,6 +249,27 @@ class TestTrainCommand:
         record = json.loads((out / "trial_record.json").read_text())
         assert record["outcome"] == "local_minimum"
 
+    def test_non_finite_final_error_is_written_as_null(self, tmp_path, capsys):
+        """Sigmoid gradient descent at battery seed 12398 ends non_finite
+        with E = NaN; trial_record.json stays strict JSON, with null."""
+        cfg = write_config(
+            tmp_path,
+            activations=["sigmoid", "sigmoid"],
+            method="gradient_descent",
+            steplength={"mode": "constant", "mu": 1.0},
+        )
+        out = tmp_path / "run"
+        rc = main(["train", "--config", str(cfg), "--out", str(out), "--seed", "12398"])
+        assert rc == 2
+        assert "outcome=non_finite iterations=236" in capsys.readouterr().out
+
+        def strict(name):
+            raise AssertionError(f"trial_record.json holds {name}")
+
+        record = json.loads((out / "trial_record.json").read_text(), parse_constant=strict)
+        assert record["outcome"] == "non_finite"
+        assert record["final_error"] is None
+
 
 class TestTrialsCommand:
     CFG = {"trial": {"max_iters": 60}}
@@ -335,7 +356,7 @@ class TestVerifyCommand:
         monkeypatch.setitem(
             ACTIVATIONS,
             "taylor3",
-            Activation(orig.name, orig.f, orig.d1, lambda z: orig.d2(z) + 0.05),
+            Activation(orig.name, orig.f, orig.d1, lambda z, g=None: orig.d2(z, g) + 0.05),
         )
         rc = main(["verify", "--config", str(self.config(tmp_path)), "--seed", "0"])
         assert rc == 2

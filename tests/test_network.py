@@ -209,6 +209,69 @@ def test_checkpoint_round_trip(tmp_path):
         np.testing.assert_array_equal(a, b)
 
 
+def _checkpoint(tmp_path, widths="[2, 1]", layers="[[[0.5, 0], [1, -2.5]]]"):
+    path = tmp_path / "ckpt.json"
+    path.write_text(f'{{"widths": {widths}, "activations": ["identity"], "layers": {layers}}}')
+    return path
+
+
+def test_load_checkpoint_reads_integer_and_float_parts(tmp_path):
+    topology, (w,) = load_checkpoint(_checkpoint(tmp_path))
+    assert topology.widths == (2, 1)
+    np.testing.assert_array_equal(w, [[0.5 + 0j, 1 - 2.5j]])
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_load_checkpoint_rejects_non_finite_weights(tmp_path, value):
+    path = _checkpoint(tmp_path, layers=f"[[[0.5, 0], [1, {value}]]]")
+    with pytest.raises(ValueError, match="is (not a finite number|out of range)"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("widths", ["[true, 1]", "[2, 1.0]", "[2, \"1\"]", "2"])
+def test_load_checkpoint_rejects_widths_that_are_not_integers(tmp_path, widths):
+    with pytest.raises(ValueError, match="checkpoint widths should be integers"):
+        load_checkpoint(_checkpoint(tmp_path, widths=widths))
+
+
+@pytest.mark.parametrize(
+    "activations, message",
+    [('["tanh"]', "unknown activation 'tanh'"), ('"identity"', "should be names"), ("[1]", "should be names")],
+)
+def test_load_checkpoint_rejects_unknown_activations(tmp_path, activations, message):
+    path = _checkpoint(tmp_path)
+    path.write_text(path.read_text().replace('["identity"]', activations))
+    with pytest.raises(ValueError, match=message):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "entry", ["[false, 0]", "[0, true]", "[1]", "[1, 0, 0]", "[]", "1", '["1", 0]', "[1e400, 0]"]
+)
+def test_load_checkpoint_rejects_weights_that_are_not_number_pairs(tmp_path, entry):
+    """Each weight must be an [re, im] pair of numbers; the error names
+    the layer and the entry.  An integer too large for a float is
+    rejected like an overflowing float."""
+    entry = entry.replace("1e400", "1" + "0" * 400)
+    path = _checkpoint(tmp_path, layers=f"[[[0.5, 0], {entry}]]")
+    with pytest.raises(ValueError, match=r"^layer 1: weight 1 .* not an \[re, im\] pair"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "layers, message",
+    [
+        ("[[[0.5, 0]]]", "layer 1 should hold 2 weights"),
+        ("[5]", "layer 1 should hold 2 weights"),
+        ("[]", r"checkpoint needs 1 weight layers for widths \(2, 1\)"),
+        ("{}", "checkpoint needs 1 weight layers"),
+    ],
+)
+def test_load_checkpoint_rejects_the_wrong_weight_count(tmp_path, layers, message):
+    with pytest.raises(ValueError, match=message):
+        load_checkpoint(_checkpoint(tmp_path, layers=layers))
+
+
 def test_dataset_round_trip(tmp_path):
     ds = Dataset(XOR_INPUTS, XOR_TARGETS)
     path = tmp_path / "xor.json"

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from holonewt.training import (
 )
 
 from conftest import XOR_INPUTS, XOR_TARGETS
-from helpers import complex_uniform, random_instance
+from helpers import BATTERY, complex_uniform, random_instance
 
 
 def xor():
@@ -220,9 +222,9 @@ def test_one_derivative_call_per_layer_and_sweep(monkeypatch, method, calls):
     counts = {"d1": 0, "d2": 0}
 
     def counted(name, fn):
-        def spy(z):
+        def spy(z, g=None):
             counts[name] += 1
-            return fn(z)
+            return fn(z, g)
 
         return spy
 
@@ -237,6 +239,37 @@ def test_one_derivative_call_per_layer_and_sweep(monkeypatch, method, calls):
     rec = train(xor_topology("sigmoid"), xor(), config, seed=12345)
     assert rec.iterations == 1
     assert counts == calls
+
+
+@pytest.mark.parametrize("method", ["gradient_descent", "pseudo_newton", "newton"])
+def test_sigmoid_exp_runs_only_in_the_forward_pass(monkeypatch, method):
+    """The sweep takes the sigmoid's g' and g'' from the forward values,
+    so a one-iteration train makes exactly the forward passes' np.exp
+    calls: one per layer and pass, 2 per pass on 2-4-1 XOR."""
+    from holonewt import training
+
+    exp, forward = np.exp, training.forward
+    calls = {"exp": 0, "exp_in_forward": 0, "forward": 0}
+
+    def exp_spy(*args, **kwargs):
+        calls["exp"] += 1
+        return exp(*args, **kwargs)
+
+    def forward_spy(*args, **kwargs):
+        before = calls["exp"]
+        trace = forward(*args, **kwargs)
+        calls["forward"] += 1
+        calls["exp_in_forward"] += calls["exp"] - before
+        return trace
+
+    monkeypatch.setattr(np, "exp", exp_spy)
+    monkeypatch.setattr(training, "forward", forward_spy)
+    mode = "constant" if method == "gradient_descent" else "one_step_newton"
+    config = TrainConfig(method=method, step=StepConfig(mode=mode), max_iters=1)
+    rec = train(xor_topology("sigmoid"), xor(), config, seed=12345)
+    assert rec.iterations == 1
+    assert calls["forward"] == 2
+    assert calls["exp"] == calls["exp_in_forward"] == 2 * calls["forward"]
 
 
 def test_pseudo_newton_never_builds_the_conjugate_block_stack(monkeypatch):
@@ -348,6 +381,38 @@ class TestRunTrials:
     def test_rejects_empty_batch(self):
         with pytest.raises(ValueError):
             run_trials(xor_topology(), xor(), PSEUDO, 0, 0)
+
+
+# a few battery seeds per golden config, as (first seed, count) runs:
+# successes, the sigmoid gradient-descent non_finite at 12398 (236
+# iterations) and singular_matrix ends, Newton's at the first iteration
+GOLDEN_SUBSET = {
+    "taylor3_pseudo": [(12345, 3), (12394, 1)],
+    "taylor3_gd": [(12345, 2)],
+    "sigmoid_gd": [(12397, 2)],
+    "sigmoid_newton": [(12345, 4)],
+    "sigmoid_pseudo": [(12355, 4)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SUBSET))
+def test_battery_seeds_match_golden_rows(tmp_path, name):
+    """A fast guard on the training arithmetic: a few seeds of each
+    battery config write the same trials.csv rows as tests/golden,
+    which the full 100-seed battery in test_acceptance pins."""
+    act, method, step = BATTERY[name]
+    topology = xor_topology(act)
+    config = TrainConfig(method=method, step=step)
+    records = []
+    for base, n in GOLDEN_SUBSET[name]:
+        records += run_trials(topology, xor(), config, n, base)[1]
+    path = tmp_path / f"{name}.csv"
+    write_trials_csv(path, records, config, topology)
+    header, *rows = path.read_text().splitlines()
+    golden_header, *golden = (Path(__file__).parent / "golden" / f"{name}.csv").read_text().splitlines()
+    by_seed = {int(line.split(",", 1)[0]): line for line in golden}
+    assert header == golden_header
+    assert rows == [by_seed[r.seed] for r in records]
 
 
 def test_summarize_counts():
