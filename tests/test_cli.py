@@ -16,6 +16,8 @@ from holonewt.cli import ConfigError, load_config, main
 
 from conftest import XOR_INPUTS, XOR_TARGETS
 
+GOLDEN = Path(__file__).parent / "golden"
+
 
 def write_config(tmp_path, name="config.json", **overrides):
     doc = {
@@ -431,6 +433,25 @@ class TestVerifyCommand:
         assert printed["layers"][0]["cogradient_rel"] == 0.0
         assert printed["within_tolerance"] is False
         assert json.loads(report_path.read_text(), parse_constant=reject) == printed
+
+    @pytest.mark.parametrize(
+        "widths, act, seed",
+        [((2, 3, 1), act, seed) for act in ("sigmoid", "taylor3") for seed in range(3)]
+        + [((2, 5, 3, 1), "taylor3", 0)],
+    )
+    def test_report_matches_golden(self, tmp_path, capsys, widths, act, seed):
+        """The verify report on builtin:xor is pinned byte for byte: a
+        change to the oracle or the analytic derivatives that keeps their
+        arithmetic keeps every digit.  Regenerate
+        tests/golden/verify_*.json only for a change that is meant to
+        move that arithmetic, and explain the diff."""
+        cfg = write_config(
+            tmp_path, topology=list(widths), activations=[act] * (len(widths) - 1)
+        )
+        rc = main(["verify", "--config", str(cfg), "--seed", str(seed)])
+        assert rc == 0
+        name = f"verify_{'-'.join(map(str, widths))}_{act}_seed{seed}.json"
+        assert capsys.readouterr().out == (GOLDEN / name).read_text()
 
     def test_nonfinite_probe_exits_2_naming_the_probe(self, tmp_path):
         cfg = write_config(tmp_path, topology=[2, 3, 1], trial={"init_range": 1e300})
