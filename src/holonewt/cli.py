@@ -192,6 +192,12 @@ def _write_manifest(outdir, command, doc, artifacts, started):
         fh.write("\n")
 
 
+def _check_seed(seed):
+    # checked before any config is read or output made
+    if seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {seed}")
+
+
 def _make_outdir(path):
     outdir = Path(path)
     try:
@@ -203,6 +209,7 @@ def _make_outdir(path):
 
 def cmd_train(args):
     started = time.monotonic()
+    _check_seed(args.seed)
     topology, dataset, config, doc = load_config(args.config)
     outdir = _make_outdir(args.out)
     record = train(topology, dataset, config, args.seed)
@@ -238,6 +245,9 @@ def cmd_train(args):
 
 def cmd_trials(args):
     started = time.monotonic()
+    _check_seed(args.seed)
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be at least 1, got {args.trials}")
     topology, dataset, config, doc = load_config(args.config)
     jobs = _resolve_jobs(args.jobs)
     outdir = _make_outdir(args.out)
@@ -263,6 +273,7 @@ def _open_report(path):
 
 
 def cmd_verify(args):
+    _check_seed(args.seed)
     topology, dataset, config, doc = load_config(args.config)
     tols = _verify_tolerances(doc)
     weights = init_weights(topology, args.seed, config.init_range)

@@ -6,6 +6,12 @@ A complex weight w = x + iy contributes two real coordinates, probed by
 central differences; Wirtinger derivatives are then assembled as
 d/dw = (d/dx - i d/dy)/2 and d/dwbar = (d/dx + i d/dy)/2.
 
+Each probe moves one or two weights, so one or two nodes of the checked
+layer.  Layers before it are evaluated once, the checked layer once at
+the centre, and a probe recomputes only the nodes it moves before the
+later layers and the error run on it; the values are the same bits as a
+full forward pass per probe.
+
 These estimates are deliberately independent of the analytic
 backpropagation modules so they can serve as a cross-check oracle, both
 in the test suite and behind the command line `verify` command.
@@ -20,8 +26,9 @@ import numpy as np
 # rounding to double
 _LONGC = getattr(np, "complex256", np.complex128)
 
-# four-probe stencils per batched forward pass; small chunks keep the
-# probe stack and its activations in cache and the peak memory flat
+# four-probe stencils per batched pass over the moved nodes and the later
+# layers; small chunks keep the probe stack and its activations in cache
+# and the peak memory flat
 _STENCILS_PER_CHUNK = 16
 
 __all__ = [
@@ -55,14 +62,17 @@ class FDConfig:
     second_step: float = 1e-4
 
 
-def _layer_error_fn(topology, weights, dataset, p):
-    """E over stacks of layer p's flat weight vector, other layers frozen.
+def _layer_error_fn(topology, weights, dataset, p, centre):
+    """E over stacks of layer p's flat weight vector near `centre`, other
+    layers frozen.
 
-    Returns (e_of, base).  e_of(flats, where) maps a (B, n) stack of flat
-    layer-p weight vectors to their (B,) errors; `where(row)` names the
-    probe in row `row` when its error is not finite.  Layers before p are
-    evaluated once here, and only layers p..L run on the stack.  `base`
-    is layer p's own flat weight vector.
+    Returns e_of(flats, nodes, where), which maps a (B, n) stack of flat
+    layer-p weight vectors to their (B,) errors.  Row b of `flats` may
+    differ from `centre` only in the weights of the layer-p nodes
+    nodes[b], a (B, c) index array; only those nodes' net sums and
+    activations are computed again, and the rest come from one pass at
+    `centre`.  `where(row)` names the probe in row `row` when its error
+    is not finite.  Layers before p are evaluated once here.
     """
     widths = topology.widths
     frozen = [np.asarray(w, dtype=_LONGC) for w in weights]
@@ -70,10 +80,16 @@ def _layer_error_fn(topology, weights, dataset, p):
     for q in range(1, p):
         x = topology.activation(q).f(x @ frozen[q - 1].T)
     targets = np.asarray(dataset.targets, dtype=_LONGC)
+    # each entry of a net sum is its own dot product, and activations act
+    # entrywise, so recomputing a node's column gives the same bits as
+    # recomputing the whole layer
+    y_centre = topology.activation(p).f(x @ centre.reshape(widths[p], widths[p - 1]).T)
 
-    def e_of(flats, where):
-        stack = flats.reshape(-1, widths[p], widths[p - 1])
-        y = topology.activation(p).f(x @ stack.transpose(0, 2, 1))
+    def e_of(flats, nodes, where):
+        b = np.arange(len(flats))[:, None]
+        moved = flats.reshape(-1, widths[p], widths[p - 1])[b, nodes]
+        y = np.repeat(y_centre[np.newaxis], len(flats), axis=0)
+        y[b, :, nodes] = topology.activation(p).f(x @ moved.transpose(0, 2, 1)).transpose(0, 2, 1)
         for q in range(p + 1, len(widths)):
             y = topology.activation(q).f(y @ frozen[q - 1].T)
         r = y - targets
@@ -84,20 +100,25 @@ def _layer_error_fn(topology, weights, dataset, p):
             raise NonFiniteEvaluation(f"layer {p}: error is {values[row]} at {where(row)}")
         return values
 
-    return e_of, frozen[p - 1].ravel().copy()
+    return e_of
 
 
 def _stencil_errors(e_of, count, points, where):
     """Errors at `count` four-probe stencils, _STENCILS_PER_CHUNK at a time.
 
-    `points(ks)` builds the (len(ks), 4, n) probes of stencils `ks`, and
-    `where(k, s)` names probe s of stencil k.  Returns a (count, 4) array.
+    `points(ks)` builds the (len(ks), 4, n) probes of stencils `ks` and
+    the (len(ks), c) layer-p nodes they move, and `where(k, s)` names
+    probe s of stencil k.  Returns a (count, 4) array.
     """
     errors = []
     for start in range(0, count, _STENCILS_PER_CHUNK):
         ks = np.arange(start, min(start + _STENCILS_PER_CHUNK, count))
-        probes = points(ks)
-        values = e_of(probes.reshape(4 * ks.size, -1), lambda row: where(ks[row // 4], row % 4))
+        probes, nodes = points(ks)
+        values = e_of(
+            probes.reshape(4 * ks.size, -1),
+            np.repeat(nodes, 4, axis=0),
+            lambda row: where(ks[row // 4], row % 4),
+        )
         errors.append(values.reshape(ks.size, 4))
     return np.concatenate(errors)
 
@@ -111,14 +132,16 @@ def fd_cogradient(topology, weights, dataset, p, cfg=FDConfig()):
     Weight k is probed at w_k + h, w_k - h, w_k + ih and w_k - ih, which
     give d/dx and d/dy and so d/dw = (d/dx - i d/dy)/2.
     """
-    e_of, base = _layer_error_fn(topology, weights, dataset, p)
+    base = np.asarray(weights[p - 1], dtype=_LONGC).ravel()
+    e_of = _layer_error_fn(topology, weights, dataset, p, base)
     h = cfg.first_step
     stepped = np.stack([base + h, base - h, base + 1j * h, base - 1j * h], axis=1)
+    fan_in = topology.widths[p - 1]
 
     def points(ks):
         probes = np.tile(base, (ks.size, 4, 1))
         probes[np.arange(ks.size), :, ks] = stepped[ks]
-        return probes
+        return probes, (ks // fan_in)[:, None]
 
     f = _stencil_errors(
         e_of, base.size, points, lambda k, s: f"the {_COGRADIENT_PROBES[s]} probe of weight {k}"
@@ -163,12 +186,18 @@ def fd_real_hessian(topology, weights, dataset, p, cfg=FDConfig()):
     Entry (i, j), i <= j, comes from the four probes r0 + s_i h e_i +
     s_j h e_j with signs (s_i, s_j) = (+, +), (+, -), (-, +), (-, -).
     """
-    e_of, base = _layer_error_fn(topology, weights, dataset, p)
+    base = np.asarray(weights[p - 1], dtype=_LONGC).ravel()
     n = base.size
     h = cfg.second_step
     r0 = np.concatenate([base.real, base.imag])
+    # the unmoved weights of every probe, rebuilt from r0 as the probes
+    # are, so that signed zeros agree
+    e_of = _layer_error_fn(topology, weights, dataset, p, r0[:n] + 1j * r0[n:])
     m = 2 * n
     rows_i, cols_j = np.triu_indices(m)
+    # the one or two layer-p nodes that each stencil moves
+    fan_in, n_nodes = topology.widths[p - 1], topology.widths[p]
+    moved = np.stack([rows_i % n // fan_in, cols_j % n // fan_in], axis=1)[:, : min(2, n_nodes)]
 
     def points(ks):
         r = np.tile(r0, (ks.size, 4, 1))
@@ -176,7 +205,7 @@ def fd_real_hessian(topology, weights, dataset, p, cfg=FDConfig()):
         # two separate steps, so a diagonal probe moves by (r + h) + h
         r[rows, :, rows_i[ks]] += h * np.array([1, 1, -1, -1])
         r[rows, :, cols_j[ks]] += h * np.array([1, -1, 1, -1])
-        return r[..., :n] + 1j * r[..., n:]
+        return r[..., :n] + 1j * r[..., n:], moved[ks]
 
     f = _stencil_errors(
         e_of,

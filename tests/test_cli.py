@@ -114,6 +114,24 @@ class TestExitCodes:
         assert "holonewt: topology widths should be integers" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("train", ["--seed", "-5"], "--seed must be a non-negative integer, got -5"),
+            ("trials", ["--seed", "-2"], "--seed must be a non-negative integer, got -2"),
+            ("trials", ["--trials", "0"], "--trials must be at least 1, got 0"),
+            ("verify", ["--seed", "-1"], "--seed must be a non-negative integer, got -1"),
+        ],
+    )
+    def test_bad_flag_exits_1_before_creating_out(self, tmp_path, capsys, command, flags, message):
+        """A bad --seed or --trials is named with its value, and no --out
+        directory or report is left behind."""
+        path = write_config(tmp_path, topology=[2, 3, 1])
+        out = tmp_path / "o"
+        assert main([command, "--config", str(path), "--out", str(out), *flags]) == 1
+        assert capsys.readouterr().err == f"holonewt: {message}\n"
+        assert not out.exists()
+
     def test_missing_config_file_exits_1(self, tmp_path, capsys):
         rc = main(["train", "--config", str(tmp_path / "no.json"), "--out", str(tmp_path)])
         assert rc == 1

@@ -180,6 +180,11 @@ def test_nonfinite_probe_is_named_inside_a_chunk(monkeypatch):
 # end in a partial one
 @example(widths=[1, 1], act="sigmoid", n_samples=2, seed=0)
 @example(widths=[4, 6, 3], act="taylor3", n_samples=8, seed=1)
+# a five-node layer, whose Hessian pairs span two nodes and whose stencil
+# counts (15, 465; 10, 210) end in partial chunks, and a one-node output
+# layer of three weights
+@example(widths=[3, 5, 2], act="sigmoid", n_samples=4, seed=2)
+@example(widths=[2, 3, 1], act="taylor3", n_samples=3, seed=3)
 def test_batched_fd_matches_loop_reference(widths, act, n_samples, seed):
     """The chunked, stacked probes reproduce the one-probe-per-call
     oracle bit for bit, on every layer of random nets up to depth 4."""
@@ -187,6 +192,26 @@ def test_batched_fd_matches_loop_reference(widths, act, n_samples, seed):
     for p in range(1, t.n_layers + 1):
         assert np.array_equal(fd_cogradient(t, w, ds, p), loop_fd_cogradient(t, w, ds, p))
         assert np.array_equal(fd_real_hessian(t, w, ds, p), loop_fd_real_hessian(t, w, ds, p))
+
+
+def test_probes_recompute_only_the_nodes_they_move(monkeypatch):
+    """A Hessian probe moves at most two weights, so at most two of layer
+    p's nodes: the layer-p activation sees one pass over all nodes at the
+    centre, then at most 2 N entries per probe."""
+    sigmoid = ACTIVATIONS["sigmoid"]
+    seen = []
+
+    def f(z):
+        seen.append(z.size)
+        return sigmoid.f(z)
+
+    _, w, ds = random_instance((3, 6, 2), "sigmoid", 10, n_samples=4)
+    t = NetworkTopology((3, 6, 2), ("sigmoid", "taylor3"))
+    monkeypatch.setitem(ACTIVATIONS, "sigmoid", Activation("sigmoid", f, sigmoid.d1, sigmoid.d2))
+    fd_real_hessian(t, w, ds, 1)
+    n, m = 4, 2 * 18
+    probes = 4 * m * (m + 1) // 2
+    assert sum(seen) <= 2 * n * probes + 6 * n
 
 
 def test_relative_error_conventions():
