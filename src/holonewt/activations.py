@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["Activation", "ACTIVATIONS", "get_activation", "distance_to_sigmoid_poles"]
+__all__ = ["Activation", "ACTIVATIONS", "get_activation"]
 
 
 @dataclass(frozen=True)
@@ -94,12 +94,3 @@ def get_activation(name: str) -> Activation:
             f"unknown activation {name!r}, expected one of {sorted(ACTIVATIONS)}"
         ) from None
 
-
-def distance_to_sigmoid_poles(z):
-    """Distance from each point to the nearest sigmoid pole i*pi*(2k+1)."""
-    z = np.asarray(z, dtype=complex)
-    k = np.round((z.imag / np.pi - 1.0) / 2.0)
-    best = np.full(z.shape, np.inf)
-    for kk in (k - 1, k, k + 1):
-        best = np.minimum(best, np.abs(z - 1j * np.pi * (2.0 * kk + 1.0)))
-    return best

@@ -97,12 +97,9 @@ def load_config(path):
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
     widths = _get(doc, "topology", list, required=True)
-    for w in widths:
-        if not isinstance(w, int) or isinstance(w, bool):
-            raise ConfigError(f"topology widths should be integers, got {w!r}")
     activations = _get(doc, "activations", list, required=True)
     try:
-        topology = NetworkTopology(tuple(widths), tuple(activations))
+        topology = NetworkTopology(widths, activations)
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(str(exc)) from None
 
@@ -114,7 +111,7 @@ def load_config(path):
             dataset = load_dataset((path.parent / dataset_path).resolve())
     except OSError as exc:
         raise ConfigError(f"cannot read dataset: {exc}") from None
-    except (ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad dataset: {exc}") from None
     if dataset.inputs.shape[1] != topology.widths[0]:
         raise ConfigError(
@@ -166,6 +163,7 @@ def _verify_tolerances(doc):
 
 
 def _resolve_jobs(value):
+    source = "--jobs"
     if value is None:
         env = os.environ.get("HOLONEWT_JOBS", "")
         if not env:
@@ -174,8 +172,9 @@ def _resolve_jobs(value):
             value = int(env)
         except ValueError:
             raise ConfigError(f"HOLONEWT_JOBS={env!r} is not an integer") from None
+        source = "HOLONEWT_JOBS"
     if value < 1:
-        raise ConfigError("jobs must be at least 1")
+        raise ConfigError(f"{source} must be at least 1, got {value}")
     return value
 
 
@@ -248,8 +247,8 @@ def cmd_trials(args):
     _check_seed(args.seed)
     if args.trials < 1:
         raise ConfigError(f"--trials must be at least 1, got {args.trials}")
-    topology, dataset, config, doc = load_config(args.config)
     jobs = _resolve_jobs(args.jobs)
+    topology, dataset, config, doc = load_config(args.config)
     outdir = _make_outdir(args.out)
     stats, records = run_trials(topology, dataset, config, args.trials, args.seed, jobs=jobs)
     csv_path = outdir / "trials.csv"
@@ -356,10 +355,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"holonewt: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"holonewt: {exc}", file=sys.stderr)
         return 1
 

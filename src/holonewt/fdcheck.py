@@ -242,7 +242,7 @@ def relative_error(approx, ref, scale=None):
     return float(num / den)
 
 
-def verify_report(topology, weights, dataset, cfg=FDConfig(), with_quadratic_form=True):
+def verify_report(topology, weights, dataset, cfg=FDConfig()):
     """Compare analytic backpropagation against the FD oracle, per layer.
 
     Returns a dict with per-layer relative errors for the cogradient and
@@ -275,23 +275,19 @@ def verify_report(topology, weights, dataset, cfg=FDConfig(), with_quadratic_for
                 )
         fd_ww, fd_wbar_w = _wirtinger_hessians(h_rr)
         h_scale = max(np.linalg.norm(fd_ww), np.linalg.norm(fd_wbar_w))
-        entry = {
+        rng = np.random.Generator(np.random.PCG64(p))
+        n = topology.layer_size(p)
+        v = rng.uniform(-1, 1, size=(n, 2)) @ np.array([1, 1j])
+        analytic = real_quadratic_form(h_ww, h_wbar_w, v)
+        vr = np.concatenate([v.real, v.imag])
+        reference = float(vr @ h_rr @ vr)
+        report["layers"].append({
             "layer": p,
             "cogradient_rel": relative_error(cog, fd_cog),
             "h_ww_rel": relative_error(h_ww, fd_ww, scale=h_scale),
             "h_wbar_w_rel": relative_error(h_wbar_w, fd_wbar_w, scale=h_scale),
-        }
-        if with_quadratic_form:
-            rng = np.random.Generator(np.random.PCG64(p))
-            n = topology.layer_size(p)
-            v = rng.uniform(-1, 1, size=(n, 2)) @ np.array([1, 1j])
-            analytic = real_quadratic_form(h_ww, h_wbar_w, v)
-            vr = np.concatenate([v.real, v.imag])
-            reference = float(vr @ h_rr @ vr)
-            entry["quadratic_form_rel"] = relative_error(analytic, reference)
-        report["layers"].append(entry)
+            "quadratic_form_rel": relative_error(analytic, reference),
+        })
     for key in ("cogradient_rel", "h_ww_rel", "h_wbar_w_rel", "quadratic_form_rel"):
-        vals = [layer[key] for layer in report["layers"] if key in layer]
-        if vals:
-            report[f"max_{key}"] = max(vals)
+        report[f"max_{key}"] = max(layer[key] for layer in report["layers"])
     return report

@@ -26,7 +26,6 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "load_dataset",
-    "save_dataset",
     "FINITE_JSON",
 ]
 
@@ -39,7 +38,14 @@ class NetworkTopology:
     activations: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
+        # the one width rule: Python or numpy integers, never bools,
+        # floats or strings; stored as Python ints
+        widths = tuple(self.widths) if np.iterable(self.widths) else None
+        if widths is None or not all(
+            isinstance(w, (int, np.integer)) and not isinstance(w, bool) for w in widths
+        ):
+            raise ValueError(f"topology widths should be integers, got {self.widths!r}")
+        object.__setattr__(self, "widths", tuple(int(w) for w in widths))
         object.__setattr__(self, "activations", tuple(self.activations))
         if len(self.widths) < 2:
             raise ValueError("a network needs at least an input and an output layer")
@@ -167,17 +173,23 @@ def save_checkpoint(path, topology, weights):
         fh.write("\n")
 
 
-def _weight(pair, p, k):
-    """Layer p's weight entry k as a complex number.  It must be an
-    [re, im] pair of JSON numbers (true and false are not numbers); the
-    FINITE_JSON hooks have already rejected non-finite floats, and an
-    integer too large for a float is rejected here."""
-    if isinstance(pair, list) and len(pair) == 2 and all(type(v) in (int, float) for v in pair):
-        try:
-            return complex(*pair)
-        except OverflowError:
-            pass
-    raise ValueError(f"layer {p}: weight {k} {pair!r} is not an [re, im] pair of finite numbers")
+def _complex_entries(entries, where):
+    """A list of [re, im] pairs of JSON numbers as complex numbers.
+
+    true and false are not numbers; the FINITE_JSON hooks have already
+    rejected non-finite floats, and an integer too large for a float is
+    rejected here.  An error names `where` and the entry's index.
+    """
+    values = []
+    for k, pair in enumerate(entries):
+        if isinstance(pair, list) and len(pair) == 2 and all(type(v) in (int, float) for v in pair):
+            try:
+                values.append(complex(*pair))
+                continue
+            except OverflowError:
+                pass
+        raise ValueError(f"{where} {k} {pair!r} is not an [re, im] pair of finite numbers")
+    return values
 
 
 def load_checkpoint(path):
@@ -192,12 +204,10 @@ def load_checkpoint(path):
     if not (isinstance(doc, dict) and {"widths", "activations", "layers"} <= set(doc)):
         raise ValueError("checkpoint must be an object with widths, activations and layers")
     widths, activations, layers = doc["widths"], doc["activations"], doc["layers"]
-    if not (isinstance(widths, list) and all(type(w) is int for w in widths)):
-        raise ValueError(f"checkpoint widths should be integers, got {widths!r}")
     if not (isinstance(activations, list) and all(isinstance(a, str) for a in activations)):
         raise ValueError(f"checkpoint activations should be names, got {activations!r}")
     try:
-        topology = NetworkTopology(tuple(widths), tuple(activations))
+        topology = NetworkTopology(widths, activations)
     except KeyError as exc:
         raise ValueError(exc.args[0]) from None
     if not isinstance(layers, list) or len(layers) != topology.n_layers:
@@ -206,7 +216,7 @@ def load_checkpoint(path):
     for p, entries in enumerate(layers, start=1):
         if not isinstance(entries, list) or len(entries) != topology.layer_size(p):
             raise ValueError(f"layer {p} should hold {topology.layer_size(p)} weights")
-        flat = np.array([_weight(pair, p, k) for k, pair in enumerate(entries)])
+        flat = np.array(_complex_entries(entries, f"layer {p}: weight"))
         weights.append(flat.reshape(topology.widths[p], topology.widths[p - 1]))
     return topology, weights
 
@@ -227,42 +237,29 @@ def _reject_constant(name):
 FINITE_JSON = {"parse_float": _finite_float, "parse_constant": _reject_constant}
 
 
-def _complex_row(sample, k, key):
-    """Sample k's `key` entries as complex numbers; each must be an
-    [re, im] pair of JSON numbers, which load_dataset parses to floats
-    (so true and false, which JSON keeps apart, are rejected)."""
-    row = []
-    for pair in sample[key]:
-        if not (isinstance(pair, list) and len(pair) == 2 and all(type(v) is float for v in pair)):
-            raise ValueError(f"sample {k}: {key} entry {pair!r} is not an [re, im] pair of numbers")
-        row.append(complex(*pair))
-    return row
-
-
 def load_dataset(path):
     """Read a JSON dataset: a list of {"input": [[re,im],...], "target": [[re,im],...]}.
 
-    Every entry must be an [re, im] pair of finite numbers; booleans, NaN,
-    Infinity and overflowing numbers raise ValueError.
+    A sample that is not such an object, or an entry that is not an
+    [re, im] pair of finite numbers (booleans, NaN, Infinity and
+    overflowing numbers are not), raises ValueError naming the sample.
     """
     with open(path) as fh:
-        doc = json.load(fh, parse_int=_finite_float, **FINITE_JSON)
+        doc = json.load(fh, **FINITE_JSON)
     if not isinstance(doc, list) or not doc:
         raise ValueError("dataset must be a non-empty JSON array of samples")
-    inputs = [_complex_row(s, k, "input") for k, s in enumerate(doc)]
-    targets = [_complex_row(s, k, "target") for k, s in enumerate(doc)]
+    inputs, targets = [], []
+    for k, sample in enumerate(doc):
+        if not (
+            isinstance(sample, dict)
+            and isinstance(sample.get("input"), list)
+            and isinstance(sample.get("target"), list)
+        ):
+            raise ValueError(f"sample {k} is not an object with input and target lists")
+        inputs.append(_complex_entries(sample["input"], f"sample {k}: input entry"))
+        targets.append(_complex_entries(sample["target"], f"sample {k}: target entry"))
     widths_in = {len(row) for row in inputs}
     widths_out = {len(row) for row in targets}
     if len(widths_in) != 1 or len(widths_out) != 1:
         raise ValueError("samples disagree on input or target width")
     return Dataset(np.array(inputs), np.array(targets))
-
-
-def save_dataset(path, dataset):
-    doc = [
-        {"input": _pairs(x), "target": _pairs(t)}
-        for x, t in zip(dataset.inputs, dataset.targets)
-    ]
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")

@@ -6,10 +6,11 @@ the seed) until every net sum in the forward trace keeps a safe distance
 from the sigmoid poles, so finite-difference probes stay finite.
 """
 
+import json
+
 import numpy as np
 
 from holonewt import Dataset, NetworkTopology, forward
-from holonewt.activations import distance_to_sigmoid_poles
 from holonewt.fdcheck import FDConfig, fd_real_hessian
 from holonewt.steplength import StepConfig
 
@@ -22,6 +23,31 @@ BATTERY = {
     "sigmoid_newton": ("sigmoid", "newton", StepConfig(mode="one_step_newton", omega=0.5)),
     "sigmoid_pseudo": ("sigmoid", "pseudo_newton", StepConfig(mode="one_step_newton", omega=0.5)),
 }
+
+
+def distance_to_sigmoid_poles(z):
+    """Distance from each point to the nearest sigmoid pole i*pi*(2k+1)."""
+    z = np.asarray(z, dtype=complex)
+    k = np.round((z.imag / np.pi - 1.0) / 2.0)
+    best = np.full(z.shape, np.inf)
+    for kk in (k - 1, k, k + 1):
+        best = np.minimum(best, np.abs(z - 1j * np.pi * (2.0 * kk + 1.0)))
+    return best
+
+
+def save_dataset(path, dataset):
+    """Write `dataset` in the JSON layout that load_dataset reads."""
+
+    def pairs(rows):
+        return [[float(c.real), float(c.imag)] for c in rows]
+
+    doc = [
+        {"input": pairs(x), "target": pairs(t)}
+        for x, t in zip(dataset.inputs, dataset.targets)
+    ]
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
 
 
 def complex_uniform(rng, shape):

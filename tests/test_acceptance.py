@@ -70,9 +70,7 @@ def test_criterion_1_derivative_battery():
         for act in acts:
             for seed in range(100):
                 topology, weights, dataset = random_instance(widths, act, seed)
-                rep = verify_report(
-                    topology, weights, dataset, FDConfig(), with_quadratic_form=False
-                )
+                rep = verify_report(topology, weights, dataset, FDConfig())
                 worst["cogradient"] = max(worst["cogradient"], rep["max_cogradient_rel"])
                 worst["h_ww"] = max(worst["h_ww"], rep["max_h_ww_rel"])
                 worst["h_wbar_w"] = max(worst["h_wbar_w"], rep["max_h_wbar_w_rel"])

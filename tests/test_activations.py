@@ -3,11 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from holonewt.activations import (
-    ACTIVATIONS,
-    distance_to_sigmoid_poles,
-    get_activation,
-)
+from holonewt.activations import ACTIVATIONS, get_activation
+
+from helpers import distance_to_sigmoid_poles
 
 
 def test_sigmoid_at_zero():

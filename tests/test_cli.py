@@ -15,6 +15,7 @@ from holonewt.activations import ACTIVATIONS, Activation
 from holonewt.cli import ConfigError, load_config, main
 
 from conftest import XOR_INPUTS, XOR_TARGETS
+from helpers import save_dataset
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -83,8 +84,6 @@ class TestConfigValidation:
                 load_config(path)
 
     def test_relative_dataset_path(self, tmp_path):
-        from holonewt.network import save_dataset
-
         save_dataset(tmp_path / "data.json", Dataset(XOR_INPUTS, XOR_TARGETS))
         path = write_config(tmp_path, dataset_path="data.json")
         _, dataset, _, _ = load_config(path)
@@ -121,15 +120,24 @@ class TestExitCodes:
             ("trials", ["--seed", "-2"], "--seed must be a non-negative integer, got -2"),
             ("trials", ["--trials", "0"], "--trials must be at least 1, got 0"),
             ("verify", ["--seed", "-1"], "--seed must be a non-negative integer, got -1"),
+            ("trials", ["--jobs", "0"], "--jobs must be at least 1, got 0"),
         ],
     )
     def test_bad_flag_exits_1_before_creating_out(self, tmp_path, capsys, command, flags, message):
-        """A bad --seed or --trials is named with its value, and no --out
-        directory or report is left behind."""
+        """A bad --seed, --trials or --jobs is named with its value, and no
+        --out directory or report is left behind."""
         path = write_config(tmp_path, topology=[2, 3, 1])
         out = tmp_path / "o"
         assert main([command, "--config", str(path), "--out", str(out), *flags]) == 1
         assert capsys.readouterr().err == f"holonewt: {message}\n"
+        assert not out.exists()
+
+    def test_bad_jobs_env_exits_1_before_creating_out(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("HOLONEWT_JOBS", "-3")
+        path = write_config(tmp_path, topology=[2, 3, 1])
+        out = tmp_path / "o"
+        assert main(["trials", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "holonewt: HOLONEWT_JOBS must be at least 1, got -3\n"
         assert not out.exists()
 
     def test_missing_config_file_exits_1(self, tmp_path, capsys):
@@ -594,6 +602,20 @@ class TestOutOfRangeNumbers:
         out = run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "out"))
         self.assert_rejected(out)
         assert out.stderr.startswith("holonewt: bad dataset: sample 1: ")
+
+    @pytest.mark.parametrize(
+        "sample",
+        ['{"input": [[1, 0], [0, 0]]}', "[[1, 0], [0, 0]]", '{"input": 1.5, "target": [[0, 0]]}'],
+    )
+    def test_dataset_sample_not_an_object_exits_1(self, tmp_path, sample):
+        """A sample without input and target lists is named, not reported
+        as a bare key or type error."""
+        data = tmp_path / "data.json"
+        data.write_text('[{"input": [[0, 0], [1, 0]], "target": [[0, 0]]},' f" {sample}]")
+        cfg = write_config(tmp_path, dataset_path="data.json")
+        out = run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        self.assert_rejected(out)
+        assert out.stderr == "holonewt: bad dataset: sample 1 is not an object with input and target lists\n"
 
     @staticmethod
     def out_args(tmp_path, command):

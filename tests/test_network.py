@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,10 @@ from holonewt import (
     load_dataset,
     save_checkpoint,
 )
-from holonewt.network import error_from_trace, save_dataset
+from holonewt.network import error_from_trace
 
 from conftest import XOR_INPUTS, XOR_TARGETS
-from helpers import complex_uniform
+from helpers import complex_uniform, save_dataset
 
 
 def topo(widths, act="identity"):
@@ -230,8 +232,25 @@ def test_load_checkpoint_rejects_non_finite_weights(tmp_path, value):
 
 @pytest.mark.parametrize("widths", ["[true, 1]", "[2, 1.0]", "[2, \"1\"]", "2"])
 def test_load_checkpoint_rejects_widths_that_are_not_integers(tmp_path, widths):
-    with pytest.raises(ValueError, match="checkpoint widths should be integers"):
+    with pytest.raises(ValueError, match="topology widths should be integers"):
         load_checkpoint(_checkpoint(tmp_path, widths=widths))
+
+
+@pytest.mark.parametrize("width", [3.7, True, "3"])
+def test_topology_rejects_widths_that_are_not_integers(width):
+    """3.7 is not truncated to 3, true is not 1 and "3" is not 3."""
+    with pytest.raises(ValueError, match="topology widths should be integers"):
+        NetworkTopology((2, width, 1), ("identity", "identity"))
+
+
+def test_topology_takes_numpy_integer_widths_as_ints(tmp_path):
+    t = NetworkTopology(np.array([2, 4, 1]), ("taylor3", "taylor3"))
+    assert t.widths == (2, 4, 1)
+    assert all(type(w) is int for w in t.widths)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, t, init_weights(t, 0))
+    assert json.loads(path.read_text())["widths"] == [2, 4, 1]
+    assert load_checkpoint(path)[0] == t
 
 
 @pytest.mark.parametrize(
