@@ -463,7 +463,9 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "widths, act, seed",
         [((2, 3, 1), act, seed) for act in ("sigmoid", "taylor3") for seed in range(3)]
-        + [((2, 5, 3, 1), "taylor3", 0)],
+        + [((2, 5, 3, 1), "taylor3", 0)]
+        # a wide hidden layer, where most Hessian stencils move two nodes
+        + [((2, 8, 1), "sigmoid", 0)],
     )
     def test_report_matches_golden(self, tmp_path, capsys, widths, act, seed):
         """The verify report on builtin:xor is pinned byte for byte: a
