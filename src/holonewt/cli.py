@@ -100,7 +100,7 @@ def load_config(path):
     activations = _get(doc, "activations", list, required=True)
     try:
         topology = NetworkTopology(widths, activations)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError) as exc:
         raise ConfigError(str(exc)) from None
 
     dataset_path = _get(doc, "dataset_path", str, required=True)

@@ -6,11 +6,17 @@ A complex weight w = x + iy contributes two real coordinates, probed by
 central differences; Wirtinger derivatives are then assembled as
 d/dw = (d/dx - i d/dy)/2 and d/dwbar = (d/dx + i d/dy)/2.
 
-Each probe moves one or two weights, so one or two nodes of the checked
-layer.  Layers before it are evaluated once, the checked layer once at
-the centre, and a probe recomputes only the nodes it moves before the
-later layers and the error run on it; the values are the same bits as a
-full forward pass per probe.
+Probes live in node space.  Each moves one or two weights, so one or two
+nodes of the checked layer p; only those nodes' weight rows are built
+and run through layer p, then the later layers and the error run on it.
+Layers before p are evaluated once, and layer p once at the centre.  A
+Hessian probe whose two real coordinates lie in different nodes moves
+each node by one coordinate, +h or -h, so the activations of all 2(2n)
+single-coordinate moves of the layer's n weights are evaluated once and
+gathered; only the probes of the S = K (2 K_in)(2 K_in + 1) / 2 pairs
+inside one node (K nodes of fan-in K_in) evaluate that node again.  The
+layer-p activation thus sees (K + 4n + 4S) N entries per Hessian on N
+samples.  Every value is the same bits as a full forward pass per probe.
 
 These estimates are deliberately independent of the analytic
 backpropagation modules so they can serve as a cross-check oracle, both
@@ -63,16 +69,17 @@ class FDConfig:
 
 
 def _layer_error_fn(topology, weights, dataset, p, centre):
-    """E over stacks of layer p's flat weight vector near `centre`, other
-    layers frozen.
+    """E near layer p's (K_p, K_{p-1}) weights `centre`, other layers
+    frozen, as a function of the layer-p nodes a probe moves.
 
-    Returns e_of(flats, nodes, where), which maps a (B, n) stack of flat
-    layer-p weight vectors to their (B,) errors.  Row b of `flats` may
-    differ from `centre` only in the weights of the layer-p nodes
-    nodes[b], a (B, c) index array; only those nodes' net sums and
-    activations are computed again, and the rest come from one pass at
-    `centre`.  `where(row)` names the probe in row `row` when its error
-    is not finite.  Layers before p are evaluated once here.
+    Returns (values_of, e_of).  values_of(rows) maps a (..., M, K_{p-1})
+    stack of layer-p node weight rows to their (..., M, N) activations on
+    the N samples.  e_of(moved, nodes, where) maps the (B, c, N)
+    activations `moved` of the layer-p nodes nodes[b], a (B, c) index
+    array, to the (B,) errors of the probes that equal `centre` in every
+    other node; those nodes' activations come from one pass at `centre`.
+    `where(row)` names the probe in row `row` when its error is not
+    finite.  Layers before p are evaluated once here.
     """
     widths = topology.widths
     frozen = [np.asarray(w, dtype=_LONGC) for w in weights]
@@ -80,16 +87,19 @@ def _layer_error_fn(topology, weights, dataset, p, centre):
     for q in range(1, p):
         x = topology.activation(q).f(x @ frozen[q - 1].T)
     targets = np.asarray(dataset.targets, dtype=_LONGC)
-    # each entry of a net sum is its own dot product, and activations act
-    # entrywise, so recomputing a node's column gives the same bits as
-    # recomputing the whole layer
-    y_centre = topology.activation(p).f(x @ centre.reshape(widths[p], widths[p - 1]).T)
 
-    def e_of(flats, nodes, where):
-        b = np.arange(len(flats))[:, None]
-        moved = flats.reshape(-1, widths[p], widths[p - 1])[b, nodes]
-        y = np.repeat(y_centre[np.newaxis], len(flats), axis=0)
-        y[b, :, nodes] = topology.activation(p).f(x @ moved.transpose(0, 2, 1)).transpose(0, 2, 1)
+    def values_of(rows):
+        # each entry of a net sum is its own dot product, and activations
+        # act entrywise, so a node's activations are the same bits however
+        # the nodes are stacked, and the same as in a full forward pass
+        return np.swapaxes(topology.activation(p).f(x @ np.swapaxes(rows, -1, -2)), -1, -2)
+
+    y_centre = values_of(centre).T
+
+    def e_of(moved, nodes, where):
+        b = np.arange(len(moved))[:, None]
+        y = np.repeat(y_centre[np.newaxis], len(moved), axis=0)
+        y[b, :, nodes] = moved
         for q in range(p + 1, len(widths)):
             y = topology.activation(q).f(y @ frozen[q - 1].T)
         r = y - targets
@@ -100,22 +110,23 @@ def _layer_error_fn(topology, weights, dataset, p, centre):
             raise NonFiniteEvaluation(f"layer {p}: error is {values[row]} at {where(row)}")
         return values
 
-    return e_of
+    return values_of, e_of
 
 
 def _stencil_errors(e_of, count, points, where):
     """Errors at `count` four-probe stencils, _STENCILS_PER_CHUNK at a time.
 
-    `points(ks)` builds the (len(ks), 4, n) probes of stencils `ks` and
-    the (len(ks), c) layer-p nodes they move, and `where(k, s)` names
-    probe s of stencil k.  Returns a (count, 4) array.
+    `points(ks)` gives the (len(ks), 4, c, N) activations of the layer-p
+    nodes that the probes of stencils `ks` move and the (len(ks), c)
+    nodes themselves, and `where(k, s)` names probe s of stencil k.
+    Returns a (count, 4) array.
     """
     errors = []
     for start in range(0, count, _STENCILS_PER_CHUNK):
         ks = np.arange(start, min(start + _STENCILS_PER_CHUNK, count))
-        probes, nodes = points(ks)
+        moved, nodes = points(ks)
         values = e_of(
-            probes.reshape(4 * ks.size, -1),
+            moved.reshape(4 * ks.size, *moved.shape[2:]),
             np.repeat(nodes, 4, axis=0),
             lambda row: where(ks[row // 4], row % 4),
         )
@@ -132,19 +143,20 @@ def fd_cogradient(topology, weights, dataset, p, cfg=FDConfig()):
     Weight k is probed at w_k + h, w_k - h, w_k + ih and w_k - ih, which
     give d/dx and d/dy and so d/dw = (d/dx - i d/dy)/2.
     """
-    base = np.asarray(weights[p - 1], dtype=_LONGC).ravel()
-    e_of = _layer_error_fn(topology, weights, dataset, p, base)
+    base = np.asarray(weights[p - 1], dtype=_LONGC)
+    values_of, e_of = _layer_error_fn(topology, weights, dataset, p, base)
     h = cfg.first_step
-    stepped = np.stack([base + h, base - h, base + 1j * h, base - 1j * h], axis=1)
-    fan_in = topology.widths[p - 1]
+    flat = base.ravel()
+    stepped = np.stack([flat + h, flat - h, flat + 1j * h, flat - 1j * h], axis=1)
 
     def points(ks):
-        probes = np.tile(base, (ks.size, 4, 1))
-        probes[np.arange(ks.size), :, ks] = stepped[ks]
-        return probes, (ks // fan_in)[:, None]
+        nodes, cols = np.divmod(ks, base.shape[1])
+        rows = np.repeat(base[nodes, np.newaxis], 4, axis=1)
+        rows[np.arange(ks.size), :, cols] = stepped[ks]
+        return values_of(rows)[:, :, np.newaxis], nodes[:, np.newaxis]
 
     f = _stencil_errors(
-        e_of, base.size, points, lambda k, s: f"the {_COGRADIENT_PROBES[s]} probe of weight {k}"
+        e_of, flat.size, points, lambda k, s: f"the {_COGRADIENT_PROBES[s]} probe of weight {k}"
     )
     dfdx = (f[:, 0] - f[:, 1]) / (2.0 * h)
     dfdy = (f[:, 2] - f[:, 3]) / (2.0 * h)
@@ -185,27 +197,47 @@ def fd_real_hessian(topology, weights, dataset, p, cfg=FDConfig()):
 
     Entry (i, j), i <= j, comes from the four probes r0 + s_i h e_i +
     s_j h e_j with signs (s_i, s_j) = (+, +), (+, -), (-, +), (-, -).
+    A probe whose two coordinates lie in different nodes moves each of
+    them by one coordinate, so it takes both nodes' activations from one
+    evaluation of every coordinate moved alone by +h and by -h; only the
+    probes of a pair inside one node evaluate that node again.
     """
-    base = np.asarray(weights[p - 1], dtype=_LONGC).ravel()
-    n = base.size
+    base = np.asarray(weights[p - 1], dtype=_LONGC)
+    n, fan_in = base.size, base.shape[1]
     h = cfg.second_step
-    r0 = np.concatenate([base.real, base.imag])
-    # the unmoved weights of every probe, rebuilt from r0 as the probes
-    # are, so that signed zeros agree
-    e_of = _layer_error_fn(topology, weights, dataset, p, r0[:n] + 1j * r0[n:])
+    # each node's real coordinates, (K_p, 2, K_{p-1}): real parts, then imaginary
+    r0 = np.stack([base.real, base.imag], axis=1)
+
+    def complex_rows(r):
+        # rebuilt the same way at the centre and at every probe, so that
+        # signed zeros agree
+        return r[..., 0, :] + 1j * r[..., 1, :]
+
+    values_of, e_of = _layer_error_fn(topology, weights, dataset, p, complex_rows(r0))
     m = 2 * n
+    coords = np.arange(m)
+    part, node, col = coords // n, coords % n // fan_in, coords % fan_in
+    # single[0 or 1, i]: the (N,) activations of coordinate i's node with
+    # i alone moved by +h or -h
+    r = np.repeat(r0[node][np.newaxis], 2, axis=0)
+    r[:, coords, part, col] += h * np.array([[1], [-1]])
+    single = values_of(complex_rows(r))
     rows_i, cols_j = np.triu_indices(m)
-    # the one or two layer-p nodes that each stencil moves
-    fan_in, n_nodes = topology.widths[p - 1], topology.widths[p]
-    moved = np.stack([rows_i % n // fan_in, cols_j % n // fan_in], axis=1)[:, : min(2, n_nodes)]
+    signs_i, signs_j = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
 
     def points(ks):
-        r = np.tile(r0, (ks.size, 4, 1))
-        rows = np.arange(ks.size)
-        # two separate steps, so a diagonal probe moves by (r + h) + h
-        r[rows, :, rows_i[ks]] += h * np.array([1, 1, -1, -1])
-        r[rows, :, cols_j[ks]] += h * np.array([1, -1, 1, -1])
-        return r[..., :n] + 1j * r[..., n:], moved[ks]
+        i, j = rows_i[ks], cols_j[ks]
+        values = np.stack([single[signs_i, i[:, None]], single[signs_j, j[:, None]]], axis=2)
+        inside = np.flatnonzero(node[i] == node[j])
+        if inside.size:
+            a, b = i[inside], j[inside]
+            r = np.repeat(r0[node[a], np.newaxis], 4, axis=1)
+            rows = np.arange(inside.size)
+            # two separate steps, so a diagonal probe moves by (r + h) + h
+            r[rows, :, part[a], col[a]] += h * np.array([1, 1, -1, -1])
+            r[rows, :, part[b], col[b]] += h * np.array([1, -1, 1, -1])
+            values[inside] = values_of(complex_rows(r))[:, :, np.newaxis]
+        return values, np.stack([node[i], node[j]], axis=1)
 
     f = _stencil_errors(
         e_of,

@@ -46,7 +46,15 @@ class NetworkTopology:
         ):
             raise ValueError(f"topology widths should be integers, got {self.widths!r}")
         object.__setattr__(self, "widths", tuple(int(w) for w in widths))
-        object.__setattr__(self, "activations", tuple(self.activations))
+        # the one activation rule: a sequence of names, each one known
+        names = tuple(self.activations) if np.iterable(self.activations) else None
+        if (
+            names is None
+            or isinstance(self.activations, str)
+            or not all(isinstance(a, str) for a in names)
+        ):
+            raise ValueError(f"topology activations should be names, got {self.activations!r}")
+        object.__setattr__(self, "activations", names)
         if len(self.widths) < 2:
             raise ValueError("a network needs at least an input and an output layer")
         if any(w < 1 for w in self.widths):
@@ -204,8 +212,6 @@ def load_checkpoint(path):
     if not (isinstance(doc, dict) and {"widths", "activations", "layers"} <= set(doc)):
         raise ValueError("checkpoint must be an object with widths, activations and layers")
     widths, activations, layers = doc["widths"], doc["activations"], doc["layers"]
-    if not (isinstance(activations, list) and all(isinstance(a, str) for a in activations)):
-        raise ValueError(f"checkpoint activations should be names, got {activations!r}")
     try:
         topology = NetworkTopology(widths, activations)
     except KeyError as exc:

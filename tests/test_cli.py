@@ -113,6 +113,16 @@ class TestExitCodes:
         assert "holonewt: topology widths should be integers" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("activations", [[["sigmoid"], "sigmoid"], [5, "sigmoid"]])
+    def test_activation_that_is_not_a_name_exits_1(self, tmp_path, activations):
+        """The message names the offending value, not a bare type error."""
+        cfg = write_config(tmp_path, topology=[2, 3, 1], activations=activations)
+        out = run_cli("verify", "--config", str(cfg))
+        assert out.returncode == 1
+        assert out.stderr.startswith("holonewt: ")
+        assert repr(activations) in out.stderr
+        assert "Traceback" not in out.stderr
+
     @pytest.mark.parametrize(
         "command, flags, message",
         [

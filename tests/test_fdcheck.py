@@ -185,6 +185,11 @@ def test_nonfinite_probe_is_named_inside_a_chunk(monkeypatch):
 # layer of three weights
 @example(widths=[3, 5, 2], act="sigmoid", n_samples=4, seed=2)
 @example(widths=[2, 3, 1], act="taylor3", n_samples=3, seed=3)
+# a fan-in-1 layer, a one-node layer whose Hessian pairs all lie inside
+# that node, and a layer of four nodes where most pairs span two
+@example(widths=[1, 4, 2], act="sigmoid", n_samples=3, seed=4)
+@example(widths=[5, 1], act="taylor3", n_samples=4, seed=5)
+@example(widths=[2, 5, 4], act="sigmoid", n_samples=5, seed=6)
 def test_batched_fd_matches_loop_reference(widths, act, n_samples, seed):
     """The chunked, stacked probes reproduce the one-probe-per-call
     oracle bit for bit, on every layer of random nets up to depth 4."""
@@ -212,6 +217,28 @@ def test_probes_recompute_only_the_nodes_they_move(monkeypatch):
     n, m = 4, 2 * 18
     probes = 4 * m * (m + 1) // 2
     assert sum(seen) <= 2 * n * probes + 6 * n
+
+
+def test_probes_evaluate_each_single_coordinate_move_once(monkeypatch):
+    """A probe across two nodes moves each by one coordinate, so the
+    layer-p activation sees the K nodes at the centre, each of the 2n
+    real coordinates moved alone by +h and by -h, and the four probes of
+    each of the S = K (2 K_in)(2 K_in + 1) / 2 pairs inside one node."""
+    sigmoid = ACTIVATIONS["sigmoid"]
+    seen = []
+
+    def f(z):
+        seen.append(z.size)
+        return sigmoid.f(z)
+
+    _, w, ds = random_instance((3, 6, 2), "sigmoid", 10, n_samples=4)
+    t = NetworkTopology((3, 6, 2), ("sigmoid", "taylor3"))
+    monkeypatch.setitem(ACTIVATIONS, "sigmoid", Activation("sigmoid", f, sigmoid.d1, sigmoid.d2))
+    fd_real_hessian(t, w, ds, 1)
+    n_samples, k, fan_in = 4, 6, 3
+    n = k * fan_in
+    inside = k * (2 * fan_in) * (2 * fan_in + 1) // 2
+    assert sum(seen) <= (k + 4 * n + 4 * inside) * n_samples
 
 
 def test_relative_error_conventions():
