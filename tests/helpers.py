@@ -12,6 +12,7 @@ import numpy as np
 
 from holonewt import Dataset, NetworkTopology, forward
 from holonewt.fdcheck import FDConfig, fd_real_hessian
+from holonewt.linalg import PIVOT_RTOL, SingularMatrix
 from holonewt.steplength import StepConfig
 
 # the five-config XOR battery of acceptance criterion 5 (2-4-1 net):
@@ -171,3 +172,43 @@ def node_diagonal(h, n_nodes):
     """The (n_nodes, n, n) stack of a full layer matrix's per-node diagonal blocks."""
     n = h.shape[0] // n_nodes
     return np.stack([h[j * n : (j + 1) * n, j * n : (j + 1) * n] for j in range(n_nodes)])
+
+
+def reference_solve(a, b):
+    """Reference stacked solve: `linalg.solve` as it was before its
+    per-column numpy calls were trimmed.
+
+    Gaussian elimination with partial pivoting over a (B, n, n) stack,
+    with both rows fancy-indexed on every column and the whole trailing
+    block updated at every step.  `solve` must match it bit for bit,
+    including its SingularMatrix messages.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    n = a.shape[-1]
+    ab = np.concatenate([a, b], axis=2, dtype=complex)
+    scale = np.abs(a).max(axis=(1, 2), initial=0.0)
+    if not scale.all():
+        raise SingularMatrix(f"block {np.flatnonzero(scale == 0.0)[0]}: matrix of zeros")
+    threshold = PIVOT_RTOL * scale
+
+    blocks = np.arange(len(ab))
+    for k in range(n):
+        col = np.abs(ab[:, k:, k])
+        r = col.argmax(axis=1)
+        pivot = col[blocks, r]
+        ok = pivot >= threshold
+        if not ok.all():
+            j = np.flatnonzero(~ok)[0]
+            raise SingularMatrix(f"block {j}: pivot {pivot[j]:.3e} below {threshold[j]:.3e}")
+        if r.any():
+            p = r + k
+            ab[blocks, k], ab[blocks, p] = ab[blocks, p], ab[blocks, k]
+        rest = ab[:, k + 1 :]
+        rest[:, :, k:] -= (rest[:, :, k] / ab[:, k, k, None])[:, :, None] * ab[:, k, None, k:]
+
+    x = ab[:, :, n:]
+    for k in range(n - 1, -1, -1):
+        x[:, k] -= (ab[:, k, None, k + 1 : n] @ x[:, k + 1 :])[:, 0]
+        x[:, k] /= ab[:, k, k, None]
+    return x

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from holonewt.linalg import SingularMatrix, solve
 
-from helpers import complex_uniform
+from helpers import complex_uniform, reference_solve
 
 
 def column(*entries):
@@ -120,7 +120,8 @@ def test_stacked_solve_matches_per_block_numpy(blocks, n, rhs_cols, seed):
     assert x.shape == b.shape
     for j in range(blocks):
         np.testing.assert_allclose(x[j], np.linalg.solve(a[j], b[j]), rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(solve(a[j : j + 1], b[j : j + 1])[0], x[j], rtol=1e-12, atol=1e-14)
+        # blocks are eliminated independently: alone, a block gives the same bits
+        assert solve(a[j : j + 1], b[j : j + 1])[0].tobytes() == x[j].tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -146,3 +147,58 @@ def test_stacked_solve_names_the_singular_block(blocks, n, kind, data, seed):
     with pytest.raises(SingularMatrix, match=rf"^block {bad}: (matrix of zeros|pivot \S+ below \S+)$"):
         solve(a, complex_uniform(rng, (blocks, n, 1)))
     np.testing.assert_array_equal(a, a0)
+
+
+def mixed_stack(rng, blocks, n, bad, bad_kind):
+    """A stack whose blocks pivot differently.
+
+    Each block is diagonally dominant (its pivot on the diagonal, so no
+    row swap), the same with its rows permuted (the pivot row is wherever
+    the permutation put the dominant entry), or uniform random.  With
+    `bad_kind`, block `bad` is all zeros, rank-deficient or holds a NaN.
+    """
+    a = complex_uniform(rng, (blocks, n, n))
+    for j, kind in enumerate(rng.integers(0, 3, size=blocks)):
+        if kind < 2:
+            a[j] += 2 * n * np.eye(n)
+        if kind == 1:
+            a[j] = a[j, rng.permutation(n)]
+    if bad_kind == "zeros":
+        a[bad] = 0
+    elif bad_kind == "rank_deficient":
+        # one row is a combination of the others (all zeros when n = 1)
+        a[bad, -1] = complex_uniform(rng, (n - 1,)) @ a[bad, :-1]
+        a[bad] = a[bad, rng.permutation(n)]
+    elif bad_kind == "nan":
+        a[bad, rng.integers(n), rng.integers(n)] = np.nan
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    blocks=st.integers(1, 6),
+    n=st.integers(1, 16),
+    wide_rhs=st.booleans(),
+    # half of the stacks are all good
+    bad_kind=st.sampled_from([None, None, None, "zeros", "rank_deficient", "nan"]),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_solve_matches_reference_bitwise(blocks, n, wide_rhs, bad_kind, data, seed):
+    """solve gives the reference elimination's bytes, or raises its
+    SingularMatrix with the same message, on stacks where some blocks
+    swap rows and others do not."""
+    rng = np.random.default_rng(seed)
+    bad = data.draw(st.integers(0, blocks - 1), label="bad block")
+    a = mixed_stack(rng, blocks, n, bad, bad_kind)
+    b = complex_uniform(rng, (blocks, n, n + 1 if wide_rhs else 1))
+    try:
+        want = reference_solve(a, b)
+    except SingularMatrix as err:
+        with pytest.raises(SingularMatrix) as got:
+            solve(a, b)
+        assert str(got.value) == str(err)
+        return
+    x = solve(a, b)
+    assert x.shape == want.shape and x.dtype == want.dtype
+    assert x.tobytes() == want.tobytes()
