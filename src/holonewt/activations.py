@@ -36,8 +36,20 @@ def _as_complex(z):
     return z
 
 
+# After a complex matmul through OpenBLAS, the next complex np.exp can run
+# about 10x slow (AVX-512 Xeon, OpenBLAS 0.3.31: 260 us against 28 us on
+# a (32, 16) layer), most likely from vector-register state that the BLAS
+# kernel leaves dirty.  A complex np.abs runs a numpy SIMD loop that
+# clears it; a real abs or the complex negation below does not.  So
+# _sigmoid takes the abs of this tiny array before its exp; no value
+# changes.
+_VECTOR_STATE_RESET = np.ones(2, dtype=complex)
+
+
 def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-_as_complex(z)))
+    z = _as_complex(z)
+    np.abs(_VECTOR_STATE_RESET)
+    return 1.0 / (1.0 + np.exp(-z))
 
 
 def _sigmoid_d1(z, g=None):

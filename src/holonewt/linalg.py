@@ -1,9 +1,23 @@
 """Stacked complex linear solve for the Newton-type node blocks.
 
 `solve` is Gaussian elimination with partial pivoting over a whole stack
-of blocks; it is written out here (rather than delegated to numpy.linalg)
-because the training code needs a well-defined singularity signal with
-an explicit threshold.
+of blocks.  It is written out here rather than delegated to LAPACK
+(numpy.linalg.solve) for two reasons: the training code needs a
+well-defined singularity signal with an explicit threshold (PIVOT_RTOL),
+which LAPACK's exact-zero test does not give, and the golden battery
+files pin this elimination's bits, which LAPACK's blocked kernels would
+move.
+
+Python loops only over the n columns, so at node-block sizes (n = 2 to
+32) the cost is the fixed overhead of each numpy call, not the flops.
+Each column therefore makes as few calls as the arithmetic allows: the
+pivot search (abs, argmax, the pivot gather and its check, counted with
+count_nonzero), a row swap only when some block's pivot row is not row
+k (one gather and two sets), and one multiply-subtract on the trailing
+block, which skips column k below the diagonal (never read again) and
+is skipped after the last column.  Back substitution makes one matmul,
+one subtract and one divide per row, and no matmul for the last row,
+which has nothing to its right.
 """
 
 import numpy as np
@@ -43,28 +57,42 @@ def solve(a, b):
     # one augmented array [a | b] per block, so each row swap and each
     # elimination step updates the matrix and its right-hand sides at once
     ab = np.concatenate([a, b], axis=2, dtype=complex)
-    scale = np.abs(a).max(axis=(1, 2), initial=0.0)
-    if not scale.all():
+    n_blocks = len(ab)
+    # the ufuncs and count_nonzero are called directly: the ndarray
+    # .all()/.any()/.max() wrappers cost more than the work at these sizes
+    scale = np.maximum.reduce(np.abs(a), axis=(1, 2), initial=0.0)
+    if np.count_nonzero(scale) < n_blocks:
         raise SingularMatrix(f"block {np.flatnonzero(scale == 0.0)[0]}: matrix of zeros")
     threshold = PIVOT_RTOL * scale
 
-    blocks = np.arange(len(ab))
+    blocks = np.arange(n_blocks)
     for k in range(n):
         col = np.abs(ab[:, k:, k])
         r = col.argmax(axis=1)
-        pivot = col[blocks, r]
+        swap = np.count_nonzero(r)
+        pivot = col[blocks, r] if swap else col[:, 0]
         ok = pivot >= threshold
-        if not ok.all():
+        if np.count_nonzero(ok) < n_blocks:
             j = np.flatnonzero(~ok)[0]
             raise SingularMatrix(f"block {j}: pivot {pivot[j]:.3e} below {threshold[j]:.3e}")
-        if r.any():
+        if swap:
             p = r + k
-            ab[blocks, k], ab[blocks, p] = ab[blocks, p], ab[blocks, k]
-        rest = ab[:, k + 1 :]
-        rest[:, :, k:] -= (rest[:, :, k] / ab[:, k, k, None])[:, :, None] * ab[:, k, None, k:]
+            row = ab[blocks, p]
+            ab[blocks, p] = ab[:, k]
+            ab[:, k] = row
+        else:
+            row = ab[:, k]
+        if k + 1 < n:
+            # column k below the diagonal is never read again, so only
+            # the columns right of it are updated
+            rest = ab[:, k + 1 :]
+            tail = rest[:, :, k + 1 :]
+            tail -= (rest[:, :, k] / row[:, k, None])[:, :, None] * row[:, None, k + 1 :]
 
     x = ab[:, :, n:]
     for k in range(n - 1, -1, -1):
-        x[:, k] -= (ab[:, k, None, k + 1 : n] @ x[:, k + 1 :])[:, 0]
-        x[:, k] /= ab[:, k, k, None]
+        xk = x[:, k]
+        if k + 1 < n:
+            xk -= (ab[:, k, None, k + 1 : n] @ x[:, k + 1 :])[:, 0]
+        xk /= ab[:, k, k, None]
     return x

@@ -122,8 +122,10 @@ def layer_step(topology, trace, targets, p, upper, w_next, curvature):
     _, curv_next, cplus_next = upper
     curv = _sandwich(wc.T, curv_next, w_next) * d1c[:, :, None] * d1[:, None, :]
     cplus = _sandwich(wc.T, cplus_next, wc) * d1c[:, :, None] * d1c[:, None, :]
-    idx = np.arange(cplus.shape[1])
-    cplus[:, idx, idx] += resid
+    # the diagonal of each (K, K) slice, as a strided view of the fresh
+    # C-contiguous product
+    n_samples, k = resid.shape
+    cplus.reshape(n_samples, k * k)[:, :: k + 1] += resid
     return delta, curv, cplus
 
 

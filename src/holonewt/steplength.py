@@ -6,6 +6,7 @@ a constant factor omega in (0, 2).  For the pseudo-Newton direction the
 denominator still uses the full H_wbar_w coupling term.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +47,8 @@ def mu_from_denominator(cograd_conj, dw, denominator):
     1e-300 in magnitude; a negative or huge quotient is returned as-is
     for the caller to deal with.
     """
-    numerator = -np.real(np.vdot(cograd_conj, dw))
-    if not np.isfinite(denominator):
+    numerator = -np.vdot(cograd_conj, dw).real
+    if not math.isfinite(denominator):
         raise DegenerateStep(f"one-step denominator is {float(denominator)!r}, not finite")
     if abs(denominator) < 1e-300:
         raise DegenerateStep(f"denominator {denominator!r}")

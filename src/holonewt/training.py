@@ -128,7 +128,7 @@ def _flat_weights(weights):
 
 
 def _finite(*arrays):
-    return all(np.isfinite(a).all() for a in arrays)
+    return all(np.logical_and.reduce(np.isfinite(a), axis=None) for a in arrays)
 
 
 def _sweep(topology, weights, trace, targets, config):
