@@ -128,7 +128,8 @@ def _flat_weights(weights):
 
 
 def _finite(*arrays):
-    return all(np.logical_and.reduce(np.isfinite(a), axis=None) for a in arrays)
+    # count_nonzero is cheaper than .all() or a logical_and reduce here
+    return all(np.count_nonzero(np.isfinite(a)) == a.size for a in arrays)
 
 
 def _sweep(topology, weights, trace, targets, config):
