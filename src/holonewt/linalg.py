@@ -8,10 +8,11 @@ which LAPACK's exact-zero test does not give, and the golden battery
 files pin this elimination's bits, which LAPACK's blocked kernels would
 move.
 
-Python loops only over the n columns, so at node-block sizes (n = 2 to
-32) the cost is the fixed overhead of each numpy call, not the flops.
-Each column therefore makes as few calls as the arithmetic allows: the
-pivot search (abs, argmax, the pivot gather and its check, counted with
+Python loops only over the n columns, so on small blocks (XOR's n = 2
+and 4) the cost is the fixed overhead of each numpy call, not the flops;
+only at n = 32 does the multiply-subtract take more than half.  Each
+column therefore makes as few calls as the arithmetic allows: the pivot
+search (abs, argmax, the pivot gather and its check, counted with
 count_nonzero), a row swap only when some block's pivot row is not row
 k (one gather and two sets), and one multiply-subtract on the trailing
 block, which skips column k below the diagonal (never read again) and
