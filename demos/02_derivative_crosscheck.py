@@ -3,12 +3,13 @@
 The backward recursions produce the conjugate cogradient and the two
 independent Hessian blocks per layer; none of that machinery is trusted
 here. Everything is re-estimated by central differences on the scalar
-error and compared.
+error, with the oracle's fixed steps (1e-5 first order, 1e-4 second
+order), and compared.
 """
 
 import numpy as np
 
-from holonewt import FDConfig, NetworkTopology, Dataset, backward_tables, hessian_pair
+from holonewt import NetworkTopology, Dataset, backward_tables, hessian_pair
 from holonewt.fdcheck import fd_cogradient, fd_hessians, relative_error
 from holonewt.gradient import cogradient_conj
 from holonewt.network import init_weights
@@ -26,7 +27,6 @@ weights = init_weights(topology, seed=3)
 dataset = Dataset(unit_box((4, 2)), unit_box((4, 1)))
 
 tables = backward_tables(topology, weights, dataset)
-cfg = FDConfig()
 
 print(f"{'layer':>5} {'cogradient':>12} {'H_ww':>12} {'H_wbar_w':>12}")
 worst = 0.0
@@ -34,8 +34,8 @@ for p in (1, 2):
     cog = cogradient_conj(tables.deltas[p - 1], tables.trace, p)
     h_ww, h_wbar_w = hessian_pair(tables, p)
 
-    fd_cog = fd_cogradient(topology, weights, dataset, p, cfg)
-    fd_ww, fd_wbar_w = fd_hessians(topology, weights, dataset, p, cfg)
+    fd_cog = fd_cogradient(topology, weights, dataset, p)
+    fd_ww, fd_wbar_w = fd_hessians(topology, weights, dataset, p)
     scale = max(np.linalg.norm(fd_ww), np.linalg.norm(fd_wbar_w))
 
     rels = (

@@ -12,7 +12,7 @@ experiments such as complex XOR.
 __version__ = "0.1.0"
 
 from .activations import ACTIVATIONS, Activation, get_activation
-from .fdcheck import FDConfig, NonFiniteEvaluation, fd_cogradient, fd_hessians, verify_report
+from .fdcheck import NonFiniteEvaluation, fd_cogradient, fd_hessians, verify_report
 from .linalg import SingularMatrix, solve
 from .network import (
     Dataset,
@@ -32,7 +32,6 @@ from .training import (
     TrainConfig,
     TrialRecord,
     TrialStats,
-    classify_outcome,
     r_factor_estimate,
     run_trials,
     train,
@@ -43,7 +42,6 @@ __all__ = [
     "ACTIVATIONS",
     "Activation",
     "get_activation",
-    "FDConfig",
     "NonFiniteEvaluation",
     "fd_cogradient",
     "fd_hessians",
@@ -69,7 +67,6 @@ __all__ = [
     "TrainConfig",
     "TrialRecord",
     "TrialStats",
-    "classify_outcome",
     "r_factor_estimate",
     "run_trials",
     "train",

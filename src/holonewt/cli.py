@@ -20,13 +20,14 @@ import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .fdcheck import FDConfig, NonFiniteEvaluation, verify_report
+from .fdcheck import NonFiniteEvaluation, verify_report
 from .network import (
     FINITE_JSON,
     Dataset,
@@ -79,6 +80,12 @@ def _get(doc, key, kind, default=None, required=False):
     return value
 
 
+def _check_keys(section, allowed, what):
+    unknown = set(section) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+
+
 def load_config(path):
     """Parse and validate a config file; returns (topology, dataset, train_config, doc)."""
     path = Path(path)
@@ -92,9 +99,7 @@ def load_config(path):
         raise ConfigError("config must be a JSON object")
 
     known = {"topology", "activations", "dataset_path", "method", "steplength", "trial", "verify"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    _check_keys(doc, known, "config")
 
     widths = _get(doc, "topology", list, required=True)
     activations = _get(doc, "activations", list, required=True)
@@ -123,13 +128,11 @@ def load_config(path):
         )
 
     sl = _get(doc, "steplength", dict, default={})
-    extra = set(sl) - {"mode", "omega", "mu"}
-    if extra:
-        raise ConfigError(f"unknown steplength keys: {sorted(extra)}")
+    _check_keys(sl, {"mode", "omega", "mu"}, "steplength")
     tr = _get(doc, "trial", dict, default={})
-    extra = set(tr) - {"error_target", "max_iters", "blowup_threshold", "stall_tolerance", "init_range"}
-    if extra:
-        raise ConfigError(f"unknown trial keys: {sorted(extra)}")
+    _check_keys(
+        tr, {"error_target", "max_iters", "blowup_threshold", "stall_tolerance", "init_range"}, "trial"
+    )
     try:
         step = StepConfig(
             mode=_get(sl, "mode", str, default="one_step_newton"),
@@ -153,9 +156,7 @@ def load_config(path):
 
 def _verify_tolerances(doc):
     section = _get(doc, "verify", dict, default={})
-    extra = set(section) - set(VERIFY_DEFAULTS)
-    if extra:
-        raise ConfigError(f"unknown verify keys: {sorted(extra)}")
+    _check_keys(section, VERIFY_DEFAULTS, "verify")
     tols = dict(VERIFY_DEFAULTS)
     for key in section:
         tols[key] = _get(section, key, float)
@@ -206,6 +207,15 @@ def _make_outdir(path):
     return outdir
 
 
+@contextmanager
+def _writing_output():
+    # the run has finished by now; a failed write still gets a message
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from None
+
+
 def cmd_train(args):
     started = time.monotonic()
     _check_seed(args.seed)
@@ -213,31 +223,32 @@ def cmd_train(args):
     outdir = _make_outdir(args.out)
     record = train(topology, dataset, config, args.seed)
 
-    ckpt = outdir / "weights.json"
-    save_checkpoint(ckpt, topology, record.final_weights)
-    history = outdir / "error_history.csv"
-    with open(history, "w", newline="") as fh:
-        fh.write("iteration,error\n")
-        for n, e in enumerate(record.error_history):
-            fh.write(f"{n},{e!r}\n")
-    record_path = outdir / "trial_record.json"
-    # strict JSON, as in verify: a non-finite final error is written as null
-    final_error = record.final_error if math.isfinite(record.final_error) else None
-    with open(record_path, "w") as fh:
-        json.dump(
-            {
-                "seed": record.seed,
-                "outcome": record.outcome,
-                "iterations": record.iterations,
-                "final_error": final_error,
-                "stalled": record.stalled,
-            },
-            fh,
-            indent=1,
-            allow_nan=False,
-        )
-        fh.write("\n")
-    _write_manifest(outdir, "train", doc, [ckpt, history, record_path], started)
+    with _writing_output():
+        ckpt = outdir / "weights.json"
+        save_checkpoint(ckpt, topology, record.final_weights)
+        history = outdir / "error_history.csv"
+        with open(history, "w", newline="") as fh:
+            fh.write("iteration,error\n")
+            for n, e in enumerate(record.error_history):
+                fh.write(f"{n},{e!r}\n")
+        record_path = outdir / "trial_record.json"
+        # strict JSON, as in verify: a non-finite final error is written as null
+        final_error = record.final_error if math.isfinite(record.final_error) else None
+        with open(record_path, "w") as fh:
+            json.dump(
+                {
+                    "seed": record.seed,
+                    "outcome": record.outcome,
+                    "iterations": record.iterations,
+                    "final_error": final_error,
+                    "stalled": record.stalled,
+                },
+                fh,
+                indent=1,
+                allow_nan=False,
+            )
+            fh.write("\n")
+        _write_manifest(outdir, "train", doc, [ckpt, history, record_path], started)
     print(f"outcome={record.outcome} iterations={record.iterations} final_error={record.final_error:.6g}")
     return 0 if record.outcome == "success" else 2
 
@@ -251,11 +262,12 @@ def cmd_trials(args):
     topology, dataset, config, doc = load_config(args.config)
     outdir = _make_outdir(args.out)
     stats, records = run_trials(topology, dataset, config, args.trials, args.seed, jobs=jobs)
-    csv_path = outdir / "trials.csv"
-    write_trials_csv(csv_path, records, config, topology)
-    stats_path = outdir / "stats.json"
-    write_stats_json(stats_path, stats)
-    _write_manifest(outdir, "trials", doc, [csv_path, stats_path], started)
+    with _writing_output():
+        csv_path = outdir / "trials.csv"
+        write_trials_csv(csv_path, records, config, topology)
+        stats_path = outdir / "stats.json"
+        write_stats_json(stats_path, stats)
+        _write_manifest(outdir, "trials", doc, [csv_path, stats_path], started)
     print(format_summary(stats, config, topology))
     return 0
 
@@ -280,7 +292,7 @@ def cmd_verify(args):
     try:
         # overflowing probes are reported by NonFiniteEvaluation, not warnings
         with np.errstate(all="ignore"):
-            report = verify_report(topology, weights, dataset, FDConfig())
+            report = verify_report(topology, weights, dataset)
     except NonFiniteEvaluation as exc:
         print(f"verification aborted: {exc}", file=sys.stderr)
         if out:

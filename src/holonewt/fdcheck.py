@@ -18,12 +18,13 @@ inside one node (K nodes of fan-in K_in) evaluate that node again.  The
 layer-p activation thus sees (K + 4n + 4S) N entries per Hessian on N
 samples.  Every value is the same bits as a full forward pass per probe.
 
+The steps are fixed: 1e-5 for the cogradient's central differences and
+1e-4, at both levels, for the Hessian's four-point stencils.
+
 These estimates are deliberately independent of the analytic
 backpropagation modules so they can serve as a cross-check oracle, both
 in the test suite and behind the command line `verify` command.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,8 +38,10 @@ _LONGC = getattr(np, "complex256", np.complex128)
 # and the peak memory flat
 _STENCILS_PER_CHUNK = 16
 
+_FIRST_STEP = 1e-5
+_SECOND_STEP = 1e-4
+
 __all__ = [
-    "FDConfig",
     "NonFiniteEvaluation",
     "fd_cogradient",
     "fd_hessians",
@@ -58,14 +61,6 @@ class NonFiniteEvaluation(Exception):
     and step signs for the Hessian.  For an analytic derivative it names
     the layer and the quantity.
     """
-
-
-@dataclass(frozen=True)
-class FDConfig:
-    """Central-difference steps for first and second derivatives."""
-
-    first_step: float = 1e-5
-    second_step: float = 1e-4
 
 
 def _layer_error_fn(topology, weights, dataset, p, centre):
@@ -137,7 +132,7 @@ def _stencil_errors(e_of, count, points, where):
 _COGRADIENT_PROBES = ("+h", "-h", "+ih", "-ih")
 
 
-def fd_cogradient(topology, weights, dataset, p, cfg=FDConfig()):
+def fd_cogradient(topology, weights, dataset, p):
     """FD estimate of the conjugate cogradient (dE/dw^(p-1))*, flat.
 
     Weight k is probed at w_k + h, w_k - h, w_k + ih and w_k - ih, which
@@ -145,7 +140,7 @@ def fd_cogradient(topology, weights, dataset, p, cfg=FDConfig()):
     """
     base = np.asarray(weights[p - 1], dtype=_LONGC)
     values_of, e_of = _layer_error_fn(topology, weights, dataset, p, base)
-    h = cfg.first_step
+    h = _FIRST_STEP
     flat = base.ravel()
     stepped = np.stack([flat + h, flat - h, flat + 1j * h, flat - 1j * h], axis=1)
 
@@ -173,7 +168,7 @@ def _wirtinger_hessians(h_rr):
     return h_ww, h_wbar_w
 
 
-def fd_hessians(topology, weights, dataset, p, cfg=FDConfig()):
+def fd_hessians(topology, weights, dataset, p):
     """FD estimates of (H_ww, H_wbar_w) for layer p.
 
     Row (j,i) indexes the cogradient component, column (b,a) the weight
@@ -186,13 +181,13 @@ def fd_hessians(topology, weights, dataset, p, cfg=FDConfig()):
       H_ww       = ((E_xx + E_yy) + i (E_xy^T - E_xy)) / 4
       H_wbar_w   = ((E_xx - E_yy) + i (E_xy^T + E_xy)) / 4
     """
-    return _wirtinger_hessians(fd_real_hessian(topology, weights, dataset, p, cfg))
+    return _wirtinger_hessians(fd_real_hessian(topology, weights, dataset, p))
 
 
 _HESSIAN_PROBES = ("(+h, +h)", "(+h, -h)", "(-h, +h)", "(-h, -h)")
 
 
-def fd_real_hessian(topology, weights, dataset, p, cfg=FDConfig()):
+def fd_real_hessian(topology, weights, dataset, p):
     """FD Hessian of E over the stacked real coordinates (x_1..x_n, y_1..y_n).
 
     Entry (i, j), i <= j, comes from the four probes r0 + s_i h e_i +
@@ -204,7 +199,7 @@ def fd_real_hessian(topology, weights, dataset, p, cfg=FDConfig()):
     """
     base = np.asarray(weights[p - 1], dtype=_LONGC)
     n, fan_in = base.size, base.shape[1]
-    h = cfg.second_step
+    h = _SECOND_STEP
     # each node's real coordinates, (K_p, 2, K_{p-1}): real parts, then imaginary
     r0 = np.stack([base.real, base.imag], axis=1)
 
@@ -274,7 +269,7 @@ def relative_error(approx, ref, scale=None):
     return float(num / den)
 
 
-def verify_report(topology, weights, dataset, cfg=FDConfig()):
+def verify_report(topology, weights, dataset):
     """Compare analytic backpropagation against the FD oracle, per layer.
 
     Returns a dict with per-layer relative errors for the cogradient and
@@ -297,8 +292,8 @@ def verify_report(topology, weights, dataset, cfg=FDConfig()):
     for p in range(1, topology.n_layers + 1):
         cog = cogradient_conj(deltas.deltas[p - 1], deltas.trace, p)
         h_ww, h_wbar_w = newton.hessian_pair(deltas, p)
-        fd_cog = fd_cogradient(topology, weights, dataset, p, cfg)
-        h_rr = fd_real_hessian(topology, weights, dataset, p, cfg)
+        fd_cog = fd_cogradient(topology, weights, dataset, p)
+        h_rr = fd_real_hessian(topology, weights, dataset, p)
         for name, value in (("cogradient", cog), ("H_ww", h_ww), ("H_wbar_w", h_wbar_w)):
             bad = np.count_nonzero(~np.isfinite(value))
             if bad:

@@ -7,22 +7,27 @@ iteration.  Floating-point trouble is not masked: non-finite errors,
 singular Newton systems and degenerate steplengths each terminate the
 trial with a distinct outcome.
 
-Outcomes, in classification precedence order:
-  non_finite      E or an update became NaN/inf, or a one-step steplength
-                  denominator was not finite or (almost) zero
-  singular_matrix a Newton or pseudo-Newton solve hit a singular system
+`train` sets the outcome where it stops, and the order of its checks is
+the precedence.  After each forward pass it checks E:
+  non_finite      E is NaN or infinite
   success         E fell below the error target
   blow_up         E exceeded the blow-up threshold
   local_minimum   the iteration budget ran out; `stalled` records whether
                   the last two errors differed by at most the stall
                   tolerance
+Otherwise it sweeps the layers, and the sweep can end the trial as:
+  singular_matrix a Newton or pseudo-Newton solve hit a singular system
+  non_finite      a cogradient, curvature table or node block was not
+                  finite, or a one-step steplength denominator was not
+                  finite or (almost) zero
 """
 
 import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -42,13 +47,11 @@ from .steplength import DegenerateStep, StepConfig, apply_update, mu_from_denomi
 
 __all__ = [
     "METHODS",
-    "OUTCOMES",
     "FAILURE_OUTCOMES",
     "TrainConfig",
     "TrialRecord",
     "TrialStats",
     "train",
-    "classify_outcome",
     "run_trials",
     "summarize",
     "r_factor_estimate",
@@ -59,7 +62,6 @@ __all__ = [
 
 METHODS = ("gradient_descent", "newton", "pseudo_newton")
 FAILURE_OUTCOMES = ("local_minimum", "blow_up", "non_finite", "singular_matrix")
-OUTCOMES = ("success",) + FAILURE_OUTCOMES
 
 DEFAULT_MAX_ITERS = {"gradient_descent": 50000, "newton": 5000, "pseudo_newton": 5000}
 
@@ -170,36 +172,34 @@ def train(topology, dataset, config, seed, keep_history=True, record_weights=Fal
     budget = config.iteration_budget
     history = []
     weight_history = [_flat_weights(weights)] if record_weights else None
-    singular = False
-    nonfinite = False
+    outcome = stalled = None
     iterations = 0
     with np.errstate(all="ignore"):
-        while True:
+        while outcome is None:
             trace = forward(topology, weights, dataset.inputs)
             e = error_from_trace(trace, dataset.targets)
             history.append(e)
             if not math.isfinite(e):
-                nonfinite = True
-                break
-            if e < config.error_target or e > config.blowup_threshold:
-                break
-            if iterations >= budget:
-                break
-            try:
-                _sweep(topology, weights, trace, dataset.targets, config)
-            except SingularMatrix:
-                singular = True
-                break
-            except (DegenerateStep, _NonFiniteSweep):
-                nonfinite = True
-                break
-            iterations += 1
-            if record_weights:
-                weight_history.append(_flat_weights(weights))
-    outcome = classify_outcome(history, config, singular, nonfinite)
-    stalled = None
-    if outcome == "local_minimum":
-        stalled = len(history) >= 2 and abs(history[-1] - history[-2]) <= config.stall_tolerance
+                outcome = "non_finite"
+            elif e < config.error_target:
+                outcome = "success"
+            elif e > config.blowup_threshold:
+                outcome = "blow_up"
+            elif iterations >= budget:
+                outcome = "local_minimum"
+                # the budget is at least 1, so there are two errors to compare
+                stalled = abs(history[-1] - history[-2]) <= config.stall_tolerance
+            else:
+                try:
+                    _sweep(topology, weights, trace, dataset.targets, config)
+                except SingularMatrix:
+                    outcome = "singular_matrix"
+                except (DegenerateStep, _NonFiniteSweep):
+                    outcome = "non_finite"
+                else:
+                    iterations += 1
+                    if record_weights:
+                        weight_history.append(_flat_weights(weights))
     return TrialRecord(
         seed=seed,
         outcome=outcome,
@@ -210,25 +210,6 @@ def train(topology, dataset, config, seed, keep_history=True, record_weights=Fal
         weight_history=weight_history,
         final_weights=weights,
     )
-
-
-def classify_outcome(error_history, config, singular_flag=False, nonfinite_flag=False):
-    """Map a finished trial onto the outcome taxonomy (see module docstring)."""
-    last = error_history[-1]
-    if nonfinite_flag or not np.isfinite(last):
-        return "non_finite"
-    if singular_flag:
-        return "singular_matrix"
-    if last < config.error_target:
-        return "success"
-    if last > config.blowup_threshold:
-        return "blow_up"
-    return "local_minimum"
-
-
-def _trial_worker(args):
-    topology, dataset, config, seed, record_weights = args
-    return train(topology, dataset, config, seed, keep_history=False, record_weights=record_weights)
 
 
 def run_trials(topology, dataset, config, n_trials, base_seed, jobs=1, record_weights=False):
@@ -242,13 +223,14 @@ def run_trials(topology, dataset, config, n_trials, base_seed, jobs=1, record_we
     """
     if n_trials < 1:
         raise ValueError("need at least one trial")
-    args = [(topology, dataset, config, base_seed + k, record_weights) for k in range(n_trials)]
+    run = partial(train, topology, dataset, config, keep_history=False, record_weights=record_weights)
+    seeds = range(base_seed, base_seed + n_trials)
     workers = min(jobs, -(-n_trials // TRIAL_CHUNK))
     if workers <= 1:
-        records = [_trial_worker(a) for a in args]
+        records = [run(seed) for seed in seeds]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_trial_worker, args, chunksize=TRIAL_CHUNK))
+            records = list(pool.map(run, seeds, chunksize=TRIAL_CHUNK))
     return summarize(records), records
 
 
@@ -310,18 +292,9 @@ def write_trials_csv(path, records, config, topology):
             )
 
 
-def stats_to_dict(stats):
-    return {
-        "n_trials": stats.n_trials,
-        "successes": stats.successes,
-        "mean_iterations_over_successes": stats.mean_iterations_over_successes,
-        "failure_counts": dict(stats.failure_counts),
-    }
-
-
 def write_stats_json(path, stats):
     with open(path, "w") as fh:
-        json.dump(stats_to_dict(stats), fh, indent=1, sort_keys=True)
+        json.dump(asdict(stats), fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 

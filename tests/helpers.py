@@ -11,7 +11,7 @@ import json
 import numpy as np
 
 from holonewt import Dataset, NetworkTopology, forward
-from holonewt.fdcheck import FDConfig, fd_real_hessian
+from holonewt.fdcheck import fd_real_hessian
 from holonewt.linalg import PIVOT_RTOL, SingularMatrix
 from holonewt.steplength import StepConfig
 
@@ -143,13 +143,13 @@ def loop_fd_real_hessian(topology, weights, dataset, p, h=1e-4):
     return hess.astype(float)
 
 
-def fd_hessians_conj(topology, weights, dataset, p, cfg=FDConfig()):
+def fd_hessians_conj(topology, weights, dataset, p):
     """FD estimates of the remaining blocks (H_w_wbar, H_wbar_wbar).
 
     These differentiate (dE/dwbar)* instead of (dE/dw)*, which flips the
     sign of the imaginary recombination relative to fd_hessians.
     """
-    h_rr = fd_real_hessian(topology, weights, dataset, p, cfg)
+    h_rr = fd_real_hessian(topology, weights, dataset, p)
     n = h_rr.shape[0] // 2
     a, b, d = h_rr[:n, :n], h_rr[:n, n:], h_rr[n:, n:]
     h_w_wbar = 0.25 * ((a - d) - 1j * (b.T + b))

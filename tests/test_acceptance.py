@@ -21,7 +21,6 @@ import pytest
 
 from holonewt import (
     Dataset,
-    FDConfig,
     NetworkTopology,
     backward_tables,
     fd_hessians,
@@ -70,7 +69,7 @@ def test_criterion_1_derivative_battery():
         for act in acts:
             for seed in range(100):
                 topology, weights, dataset = random_instance(widths, act, seed)
-                rep = verify_report(topology, weights, dataset, FDConfig())
+                rep = verify_report(topology, weights, dataset)
                 worst["cogradient"] = max(worst["cogradient"], rep["max_cogradient_rel"])
                 worst["h_ww"] = max(worst["h_ww"], rep["max_h_ww_rel"])
                 worst["h_wbar_w"] = max(worst["h_wbar_w"], rep["max_h_wbar_w_rel"])

@@ -512,6 +512,16 @@ class TestOutputPaths:
         assert out.stderr.startswith("holonewt: cannot create output directory: ")
         assert "Traceback" not in out.stderr
 
+    @pytest.mark.parametrize("command, artifact", [("train", "weights.json"), ("trials", "trials.csv")])
+    def test_unwritable_artifact_exits_1(self, tmp_path, command, artifact):
+        cfg = write_config(tmp_path, trial={"max_iters": 2})
+        outdir = tmp_path / "out"
+        (outdir / artifact).mkdir(parents=True)
+        out = run_cli(command, "--config", str(cfg), "--out", str(outdir), "--seed", "12345")
+        assert out.returncode == 1
+        assert out.stderr.startswith("holonewt: cannot write output: ")
+        assert "Traceback" not in out.stderr
+
     def test_verify_out_in_missing_directory_exits_1(self, tmp_path):
         cfg = write_config(tmp_path, topology=[2, 3, 1])
         missing = tmp_path / "no_such_dir" / "report.json"

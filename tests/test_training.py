@@ -9,7 +9,6 @@ from holonewt.steplength import StepConfig
 from holonewt.training import (
     FAILURE_OUTCOMES,
     TrainConfig,
-    classify_outcome,
     r_factor_estimate,
     run_trials,
     summarize,
@@ -58,31 +57,6 @@ class TestTrainConfig:
             TrainConfig(method="newton", init_range=0.0)
 
 
-class TestClassifyOutcome:
-    CFG = TrainConfig(method="newton", max_iters=10)
-
-    def test_success_below_target(self):
-        assert classify_outcome([0.5, 0.0009], self.CFG) == "success"
-
-    def test_local_minimum_when_stuck(self):
-        history = [0.3] * 11
-        assert classify_outcome(history, self.CFG) == "local_minimum"
-
-    def test_blow_up(self):
-        assert classify_outcome([0.5, 3e10], self.CFG) == "blow_up"
-
-    def test_non_finite_beats_everything(self):
-        assert classify_outcome([np.nan], self.CFG) == "non_finite"
-        assert classify_outcome([0.0001], self.CFG, nonfinite_flag=True) == "non_finite"
-
-    def test_singular_beats_success_value(self):
-        assert classify_outcome([0.5], self.CFG, singular_flag=True) == "singular_matrix"
-        assert (
-            classify_outcome([0.5], self.CFG, singular_flag=True, nonfinite_flag=True)
-            == "non_finite"
-        )
-
-
 def test_train_single_neuron_newton_one_iteration():
     """Quadratic surface: Newton with omega=1 converges in one step."""
     t = NetworkTopology((1, 1), ("identity",))
@@ -126,16 +100,22 @@ def test_train_budget_without_stall():
 
 
 def test_train_blow_up():
-    t = xor_topology()
+    """(1,1) identity with x = d = 1: a GD step at mu = 100 maps w - 1 to
+    -99 (w - 1), so E grows by 99^2 per iteration; from seeds 0-4 it
+    passes the 1e10 threshold at the third."""
+    t = NetworkTopology((1, 1), ("identity",))
+    ds = Dataset(np.array([[1.0]]), np.array([[1.0]]))
     cfg = TrainConfig(
         method="gradient_descent",
         step=StepConfig(mode="constant", constant_mu=100.0),
         max_iters=50,
     )
-    rec = train(t, xor(), cfg, seed=0)
-    assert rec.outcome in ("blow_up", "non_finite")
-    if rec.outcome == "blow_up":
-        assert rec.final_error > 1e10
+    for seed in range(5):
+        rec = train(t, ds, cfg, seed)
+        assert rec.outcome == "blow_up"
+        assert rec.iterations == 3
+        assert rec.final_error > cfg.blowup_threshold
+        assert rec.error_history[1] / rec.error_history[0] == pytest.approx(99.0**2, rel=1e-12)
 
 
 def test_train_singular_matrix_outcome():
