@@ -212,3 +212,39 @@ def reference_solve(a, b):
         x[:, k] -= (ab[:, k, None, k + 1 : n] @ x[:, k + 1 :])[:, 0]
         x[:, k] /= ab[:, k, k, None]
     return x
+
+
+def reference_layer_step(topology, trace, targets, p, upper, w_next, curvature):
+    """Reference backward layer step: `newton.layer_step` as it was when
+    it allocated every hidden-layer table afresh on each call.
+
+    Same arguments and results as layer_step without its buffers; a 2-d
+    upper table holds diagonals.  layer_step must match it bit for bit.
+    """
+    act = topology.activation(p)
+    net, g = trace.nets[p - 1], trace.values[p]
+    d1 = act.d1(net, g)
+    d1c = np.conj(d1)
+    if upper is None:
+        back = trace.outputs - targets
+    else:
+        wc = np.conj(w_next)
+        back = (upper[0] if curvature else upper) @ wc
+    delta = back * d1c
+    if not curvature:
+        return delta
+    resid = back * np.conj(act.d2(net, g))
+    if upper is None:
+        return delta, d1c * d1, resid
+    _, curv_next, cplus_next = upper
+
+    def sandwich(left, table, right):
+        if table.ndim == 2:
+            return (left * table[:, None, :]) @ right
+        return left @ table @ right
+
+    curv = sandwich(wc.T, curv_next, w_next) * d1c[:, :, None] * d1[:, None, :]
+    cplus = sandwich(wc.T, cplus_next, wc) * d1c[:, :, None] * d1c[:, None, :]
+    n_samples, k = resid.shape
+    cplus.reshape(n_samples, k * k)[:, :: k + 1] += resid
+    return delta, curv, cplus

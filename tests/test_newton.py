@@ -18,7 +18,13 @@ from holonewt.newton import (
     sample_last,
 )
 
-from helpers import complex_uniform, node_diagonal, random_instance, sample_first_node_blocks
+from helpers import (
+    complex_uniform,
+    node_diagonal,
+    random_instance,
+    reference_layer_step,
+    sample_first_node_blocks,
+)
 
 
 def single_linear_neuron_tables():
@@ -392,3 +398,30 @@ def test_backward_recursion_matches_fd_oracle(widths, act, seed):
         scale = max(np.linalg.norm(fd_ww), np.linalg.norm(fd_wbar_w))
         assert relative_error(h_ww, fd_ww, scale=scale) <= 1e-5
         assert relative_error(h_wbar_w, fd_wbar_w, scale=scale) <= 1e-5
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    widths=st.lists(st.integers(1, 16), min_size=3, max_size=5),
+    act=st.sampled_from(["taylor3", "sigmoid", "identity"]),
+    n_samples=st.integers(1, 40),
+    seed=st.integers(0, 2**20),
+)
+@example(widths=[4, 16, 16, 4], act="taylor3", n_samples=32, seed=0)
+@example(widths=[2, 4, 4, 1], act="sigmoid", n_samples=4, seed=1)
+def test_layer_step_keeps_reference_bits(widths, act, n_samples, seed):
+    """Every layer's (delta, curvature, cplus) from layer_step has the
+    bits of the reference step, on depth 2 to 4 nets whose hidden layers
+    carry full tables, with NaN and infinite entries near sigmoid poles."""
+    t, w, ds = random_instance(widths, act, seed, n_samples=n_samples, pole_margin=0.0)
+    trace = forward(t, w, ds.inputs)
+    upper = None
+    with np.errstate(all="ignore"):
+        for p in range(t.n_layers, 0, -1):
+            w_next = w[p] if upper is not None else None
+            ref = reference_layer_step(t, trace, ds.targets, p, upper, w_next, True)
+            got = layer_step(t, trace, ds.targets, p, upper, w_next, True)
+            for g, r in zip(got, ref):
+                assert g.shape == r.shape
+                assert_same_bits(g, r)
+            upper = ref

@@ -395,6 +395,34 @@ def test_battery_seeds_match_golden_rows(tmp_path, name):
     assert rows == [by_seed[r.seed] for r in records]
 
 
+
+# 2-4-4-1 on XOR: the only golden training runs whose hidden layer 1
+# receives a full (N, K, K) table from layer 2; the 2-4-1 battery's
+# hidden layer only ever reads the output layer's diagonals
+DEEP_GOLDEN = Path(__file__).parent / "golden" / "deep_2-4-4-1.csv"
+DEEP_CONFIGS = [(act, method) for act in ("taylor3", "sigmoid") for method in ("newton", "pseudo_newton")]
+
+
+def deep_trials_csv(path):
+    """The depth-3 golden file's bytes: 20 seeds from 12345 per config,
+    one header."""
+    lines = []
+    for act, method in DEEP_CONFIGS:
+        topology = NetworkTopology((2, 4, 4, 1), (act,) * 3)
+        config = TrainConfig(method=method, step=StepConfig(mode="one_step_newton", omega=0.5))
+        _, records = run_trials(topology, xor(), config, 20, 12345)
+        write_trials_csv(path, records, config, topology)
+        header, *rows = path.read_text().splitlines()
+        lines += ([header] if not lines else []) + rows
+    return "\n".join(lines) + "\n"
+
+
+def test_depth_3_trials_match_golden(tmp_path):
+    """Newton and pseudo-Newton trials on a depth-3 net write the bytes of
+    tests/golden/deep_2-4-4-1.csv.  Regenerate it only for a change that
+    is meant to move the arithmetic, and explain the diff."""
+    assert deep_trials_csv(tmp_path / "trials.csv") == DEEP_GOLDEN.read_text()
+
 def test_summarize_counts():
     _, records = run_trials(xor_topology(), xor(), PSEUDO, 6, 12345)
     stats = summarize(records)
