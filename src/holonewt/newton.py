@@ -40,6 +40,16 @@ layer, and the only well-posed choice at hidden layers, where the full
 matrix is singular by rank counting whenever sample count times output
 width is below the layer's weight count.
 
+A hidden layer's tables are (N, K_p, K_p) arrays, 128 KiB each on a
+16-wide layer over 32 samples.  Allocated afresh on every step, such
+arrays and the temporaries of their products are handed back to the OS
+when freed and page-faulted in again on the next iteration (about 200
+minor faults per iteration on a 4-16-16-4 net).  So layer_step writes a
+hidden layer's tables only into buffers it is handed, which
+table_buffers allocates once per trial (train) or once per report
+(backward_tables, whose layers stay distinct arrays), in the same order
+of arithmetic as fresh products and so with the same bits.
+
 The node-block contraction sums over the samples, so node_blocks takes
 its operands sample-last and contiguous (sample_last): einsum's inner
 loop then runs over unit-stride memory, which at wide layers outweighs
@@ -56,6 +66,7 @@ from .linalg import solve
 from .network import forward
 
 __all__ = [
+    "table_buffers",
     "layer_step",
     "sample_last",
     "node_blocks",
@@ -73,13 +84,6 @@ def _diagonal(table):
     return table if table.ndim == 2 else np.diagonal(table, axis1=1, axis2=2)
 
 
-def _sandwich(left, table, right):
-    """left @ table[t] @ right for every sample t; a 2-d table holds diagonals."""
-    if table.ndim == 2:
-        return (left * table[:, None, :]) @ right
-    return left @ table @ right
-
-
 def _apply(table, u):
     """table[t] @ u[t] for every sample t; a 2-d table holds diagonals."""
     if table.ndim == 2:
@@ -87,7 +91,41 @@ def _apply(table, u):
     return (table @ u[:, :, None])[:, :, 0]
 
 
-def layer_step(topology, trace, targets, p, upper, w_next, curvature):
+def table_buffers(topology, n_samples):
+    """Buffers for every layer's hidden-layer tables (index p-1), for
+    layer_step to write into.
+
+    A hidden layer p gets (curvature, cplus, inner, product): its two
+    (N, K_p, K_p) tables, the (N, K_p, K_{p+1}) inner factor of their
+    sandwich products and an (N, K_p, K_p) array for the partial
+    products.  inner and product are views of one allocation, since no
+    step reads one after writing the other.  The output layer gets None:
+    its (N, C) diagonal tables are small.  A trial allocates these once
+    and every iteration overwrites them; see the module docstring.
+    """
+    widths = topology.widths
+    buffers = []
+    for p in range(1, topology.n_layers):
+        k, k_next = widths[p], widths[p + 1]
+        scratch = np.empty(n_samples * k * max(k, k_next), dtype=complex)
+        inner = scratch[: n_samples * k * k_next].reshape(n_samples, k, k_next)
+        product = scratch[: n_samples * k * k].reshape(n_samples, k, k)
+        tables = (np.empty((n_samples, k, k), dtype=complex) for _ in range(2))
+        buffers.append((*tables, inner, product))
+    return buffers + [None]
+
+
+def _sandwich(left, table, right, inner, out):
+    """left @ table[t] @ right into `out` for every sample t, through
+    `inner`; a 2-d table holds diagonals."""
+    if table.ndim == 2:
+        np.multiply(left, table[:, None, :], out=inner)
+    else:
+        np.matmul(left, table, out=inner)
+    return np.matmul(inner, right, out=out)
+
+
+def layer_step(topology, trace, targets, p, upper, w_next, curvature, buffers=None):
     """Layer p's (delta, curvature, cplus), or its delta alone.
 
     At the output layer (`upper` None) the step starts from the residual
@@ -97,6 +135,12 @@ def layer_step(topology, trace, targets, p, upper, w_next, curvature):
     training sweep has already updated it while the trace is still the
     one from the top of the iteration.  With `curvature` false the step
     carries only the deltas, and `upper` and the result are delta arrays.
+
+    A hidden layer's tables are written only into `buffers`, layer p's
+    entry of table_buffers, and returned as those arrays; every entry is
+    overwritten, so the buffers may hold anything before the call.  A
+    training sweep hands each layer the same buffers on every iteration,
+    so the (N, K_p, K_p) tables are not allocated and freed per step.
 
     The row side of the curvature table takes g' at the conjugated net
     sums and its column side g' at the unconjugated ones; both sides of
@@ -120,10 +164,18 @@ def layer_step(topology, trace, targets, p, upper, w_next, curvature):
     if upper is None:
         return delta, d1c * d1, resid
     _, curv_next, cplus_next = upper
-    curv = _sandwich(wc.T, curv_next, w_next) * d1c[:, :, None] * d1[:, None, :]
-    cplus = _sandwich(wc.T, cplus_next, wc) * d1c[:, :, None] * d1c[:, None, :]
-    # the diagonal of each (K, K) slice, as a strided view of the fresh
-    # C-contiguous product
+    curv, cplus, inner, product = buffers
+    # ((left @ table) @ right) * d1c * d1, as a fresh product would round
+    # it: no multiply writes over its own input, since numpy's in-place
+    # complex multiply can round differently (it does on a single entry)
+    _sandwich(wc.T, curv_next, w_next, inner, curv)
+    np.multiply(curv, d1c[:, :, None], out=product)
+    np.multiply(product, d1[:, None, :], out=curv)
+    _sandwich(wc.T, cplus_next, wc, inner, cplus)
+    np.multiply(cplus, d1c[:, :, None], out=product)
+    np.multiply(product, d1c[:, None, :], out=cplus)
+    # the diagonal of each (K, K) slice, as a strided view of the
+    # C-contiguous buffer
     n_samples, k = resid.shape
     cplus.reshape(n_samples, k * k)[:, :: k + 1] += resid
     return delta, curv, cplus
@@ -150,7 +202,9 @@ def node_blocks(table, left, right):
     blocks cost O(N K_p^2 K_{p-1}^2).
     """
     diag = _diagonal(table).T.copy()
-    return np.einsum("jt,it,at->jia", diag, left, right) / left.shape[1]
+    blocks = np.einsum("jt,it,at->jia", diag, left, right)
+    blocks /= left.shape[1]
+    return blocks
 
 
 def one_step_denominator(curv_p, cplus_p, trace, p, dw):
@@ -181,11 +235,13 @@ class BackwardTables:
 def backward_tables(topology, weights, dataset):
     """Run the forward pass and the backward recursion without updating any weights."""
     trace = forward(topology, weights, dataset.inputs)
+    # one buffer set per layer, so every layer's tables stay distinct arrays
+    buffers = table_buffers(topology, dataset.inputs.shape[0])
     steps = []
     upper = None
     for p in range(topology.n_layers, 0, -1):
         w_next = weights[p] if upper is not None else None
-        upper = layer_step(topology, trace, dataset.targets, p, upper, w_next, True)
+        upper = layer_step(topology, trace, dataset.targets, p, upper, w_next, True, buffers[p - 1])
         steps.append(upper)
     deltas, curv, cplus = (list(reversed(column)) for column in zip(*steps))
     return BackwardTables(trace, deltas, curv, cplus)

@@ -31,8 +31,8 @@ class StepConfig:
             raise ValueError(f"steplength mode {self.mode!r} not in {MODES}")
         if not 0.0 < self.omega < 2.0:
             raise ValueError(f"omega must lie in (0, 2), got {self.omega}")
-        if not self.constant_mu > 0.0:
-            raise ValueError(f"constant mu must be positive, got {self.constant_mu}")
+        if not (self.constant_mu > 0.0 and math.isfinite(self.constant_mu)):
+            raise ValueError(f"constant_mu must be positive and finite, got {self.constant_mu!r}")
 
 
 def mu_from_denominator(cograd_conj, dw, denominator):

@@ -42,6 +42,7 @@ from .newton import (
     one_step_denominator,
     pseudo_newton_update,
     sample_last,
+    table_buffers,
 )
 from .steplength import DegenerateStep, StepConfig, apply_update, mu_from_denominator
 
@@ -90,12 +91,17 @@ class TrainConfig:
             raise ValueError("gradient descent needs a constant steplength")
         if not self.error_target > 0:
             raise ValueError("error target must be positive")
-        if self.max_iters is not None and self.max_iters < 1:
-            raise ValueError("iteration budget must be at least 1")
+        if self.max_iters is not None and not (
+            isinstance(self.max_iters, (int, np.integer))
+            and not isinstance(self.max_iters, bool)
+            and self.max_iters >= 1
+        ):
+            raise ValueError(f"max_iters must be an integer of at least 1, got {self.max_iters!r}")
         if not self.blowup_threshold > 0:
             raise ValueError("blow-up threshold must be positive")
-        if self.stall_tolerance < 0:
-            raise ValueError("stall tolerance must be non-negative")
+        # NaN would pass a `< 0` test and leave `stalled` always False
+        if not self.stall_tolerance >= 0:
+            raise ValueError(f"stall_tolerance must be non-negative, got {self.stall_tolerance!r}")
         # the draws span (-r, r), whose width 2r must be finite too
         if not (self.init_range > 0 and np.isfinite(2 * self.init_range)):
             raise ValueError(f"init range must be positive with a finite 2r, got {self.init_range}")
@@ -134,18 +140,19 @@ def _finite(*arrays):
     return all(np.count_nonzero(np.isfinite(a)) == a.size for a in arrays)
 
 
-def _sweep(topology, weights, trace, targets, config):
-    # layer_step carries the deltas alone for gradient descent, and the
-    # (delta, curvature, cplus) triple for the Newton-type methods
+def _sweep(topology, weights, trace, targets, config, buffers):
+    # layer_step carries the deltas alone for gradient descent (no
+    # buffers), and for the Newton-type methods the (delta, curvature,
+    # cplus) triple, written into the trial's table buffers
     step = config.step
-    curvature = config.method != "gradient_descent"
     upper = None
     for p in range(topology.n_layers, 0, -1):
         w_next = weights[p] if upper is not None else None
-        upper = layer_step(topology, trace, targets, p, upper, w_next, curvature)
-        if not curvature:
+        if buffers is None:
+            upper = layer_step(topology, trace, targets, p, upper, w_next, False)
             apply_update(weights, p, -cogradient_conj(upper, trace, p), step.constant_mu)
             continue
+        upper = layer_step(topology, trace, targets, p, upper, w_next, True, buffers[p - 1])
         delta, curv, cplus = upper
         cograd = cogradient_conj(delta, trace, p)
         # pseudo-Newton never reads the H_wbar_w stack, so it is not built
@@ -169,6 +176,10 @@ def _sweep(topology, weights, trace, targets, config):
 def train(topology, dataset, config, seed, keep_history=True, record_weights=False):
     """Train from the seeded initialization until success, failure or budget."""
     weights = init_weights(topology, seed, config.init_range)
+    # the Newton-type tables are overwritten in place on every iteration
+    buffers = None
+    if config.method != "gradient_descent":
+        buffers = table_buffers(topology, dataset.inputs.shape[0])
     budget = config.iteration_budget
     history = []
     weight_history = [_flat_weights(weights)] if record_weights else None
@@ -191,7 +202,7 @@ def train(topology, dataset, config, seed, keep_history=True, record_weights=Fal
                 stalled = abs(history[-1] - history[-2]) <= config.stall_tolerance
             else:
                 try:
-                    _sweep(topology, weights, trace, dataset.targets, config)
+                    _sweep(topology, weights, trace, dataset.targets, config, buffers)
                 except SingularMatrix:
                     outcome = "singular_matrix"
                 except (DegenerateStep, _NonFiniteSweep):

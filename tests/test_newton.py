@@ -16,6 +16,7 @@ from holonewt.newton import (
     one_step_denominator,
     pseudo_newton_update,
     sample_last,
+    table_buffers,
 )
 
 from helpers import (
@@ -68,7 +69,9 @@ class TestCurvatureTables:
         trace = forward(t, w, complex_uniform(rng, (4, 2)))
         delta, curv, cplus = output_step(t, trace, complex_uniform(rng, (4, 2)))
         assert delta.shape == curv.shape == cplus.shape == (4, 2)
-        _, curv1, cplus1 = layer_step(t, trace, None, 1, (delta, curv, cplus), w[1], True)
+        _, curv1, cplus1 = layer_step(
+            t, trace, None, 1, (delta, curv, cplus), w[1], True, table_buffers(t, 4)[0]
+        )
         _, full1, fullplus1 = layer_step(
             t,
             trace,
@@ -77,6 +80,7 @@ class TestCurvatureTables:
             (delta, curv[:, :, None] * np.eye(2), cplus[:, :, None] * np.eye(2)),
             w[1],
             True,
+            table_buffers(t, 4)[0],
         )
         np.testing.assert_allclose(curv1, full1, rtol=1e-14, atol=1e-16)
         np.testing.assert_allclose(cplus1, fullplus1, rtol=1e-14, atol=1e-16)
@@ -95,7 +99,7 @@ class TestCurvatureTables:
         w = [complex_uniform(rng, (2, 2)), np.zeros((1, 2), dtype=complex)]
         trace = forward(t, w, complex_uniform(rng, (3, 2)))
         upper = output_step(t, trace, complex_uniform(rng, (3, 1)))
-        _, curv1, cplus1 = layer_step(t, trace, None, 1, upper, w[1], True)
+        _, curv1, cplus1 = layer_step(t, trace, None, 1, upper, w[1], True, table_buffers(t, 3)[0])
         np.testing.assert_array_equal(curv1, np.zeros((3, 2, 2)))
         np.testing.assert_array_equal(cplus1, np.zeros((3, 2, 2)))
 
@@ -105,7 +109,8 @@ class TestCurvatureTables:
         w2 = 2.0 - 1.0j
         w = [np.array([[0.7 + 0.2j]]), np.array([[w2]])]
         trace = forward(t, w, np.array([[1.5]]))
-        _, curv1, _ = layer_step(t, trace, None, 1, output_step(t, trace), w[1], True)
+        upper = output_step(t, trace)
+        _, curv1, _ = layer_step(t, trace, None, 1, upper, w[1], True, table_buffers(t, 1)[0])
         np.testing.assert_allclose(curv1, [[[5.0]]], rtol=1e-15)
 
     def test_delta_only_step_matches_the_triple(self):
@@ -117,6 +122,30 @@ class TestCurvatureTables:
             w_next = w[p] if delta is not None else None
             delta = layer_step(t, tables.trace, ds.targets, p, delta, w_next, False)
             np.testing.assert_array_equal(delta, tables.deltas[p - 1])
+
+    def test_backward_tables_layers_share_no_memory(self):
+        """backward_tables keeps every layer's tables, so no two of them
+        may live in the same buffer."""
+        t, w, ds = random_instance((2, 3, 4, 3, 1), "taylor3", 3, n_samples=5)
+        tables = backward_tables(t, w, ds)
+        arrays = tables.curvature + tables.cplus
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1 :]:
+                assert not np.shares_memory(a, b)
+
+    def test_table_buffers_shapes(self):
+        """Each hidden layer gets its two (N, K_p, K_p) tables and the
+        (N, K_p, K_{p+1}) and (N, K_p, K_p) intermediates; the output
+        layer gets none."""
+        t = NetworkTopology((2, 3, 5, 1), ("taylor3",) * 3)
+        buffers = table_buffers(t, 7)
+        assert buffers[-1] is None
+        for p, (curv, cplus, inner, product) in enumerate(buffers[:-1], start=1):
+            k = t.widths[p]
+            assert curv.shape == cplus.shape == product.shape == (7, k, k)
+            assert inner.shape == (7, k, t.widths[p + 1])
+            assert not np.shares_memory(curv, cplus)
+            assert not np.shares_memory(curv, product) and not np.shares_memory(cplus, inner)
 
 
 class TestResidualAndConjTables:
@@ -411,17 +440,26 @@ def test_backward_recursion_matches_fd_oracle(widths, act, seed):
 @example(widths=[2, 4, 4, 1], act="sigmoid", n_samples=4, seed=1)
 def test_layer_step_keeps_reference_bits(widths, act, n_samples, seed):
     """Every layer's (delta, curvature, cplus) from layer_step has the
-    bits of the reference step, on depth 2 to 4 nets whose hidden layers
-    carry full tables, with NaN and infinite entries near sigmoid poles."""
-    t, w, ds = random_instance(widths, act, seed, n_samples=n_samples, pole_margin=0.0)
-    trace = forward(t, w, ds.inputs)
-    upper = None
-    with np.errstate(all="ignore"):
-        for p in range(t.n_layers, 0, -1):
-            w_next = w[p] if upper is not None else None
-            ref = reference_layer_step(t, trace, ds.targets, p, upper, w_next, True)
-            got = layer_step(t, trace, ds.targets, p, upper, w_next, True)
-            for g, r in zip(got, ref):
-                assert g.shape == r.shape
-                assert_same_bits(g, r)
-            upper = ref
+    bits of the reference step, which allocates its tables afresh, on
+    depth 2 to 4 nets whose hidden layers carry full tables, with NaN and
+    infinite entries near sigmoid poles.  The buffers start out as NaN,
+    then hold the previous call's tables for a second instance."""
+    buffers = table_buffers(random_instance(widths, act, seed)[0], n_samples)
+    for bufs in buffers[:-1]:
+        for b in bufs:
+            b.fill(np.nan)
+    for s in (seed, seed + 1):
+        t, w, ds = random_instance(widths, act, s, n_samples=n_samples, pole_margin=0.0)
+        trace = forward(t, w, ds.inputs)
+        upper = None
+        with np.errstate(all="ignore"):
+            for p in range(t.n_layers, 0, -1):
+                w_next = w[p] if upper is not None else None
+                ref = reference_layer_step(t, trace, ds.targets, p, upper, w_next, True)
+                got = layer_step(t, trace, ds.targets, p, upper, w_next, True, buffers[p - 1])
+                for g, r in zip(got, ref):
+                    assert g.shape == r.shape
+                    assert_same_bits(g, r)
+                if p < t.n_layers:
+                    assert got[1] is buffers[p - 1][0] and got[2] is buffers[p - 1][1]
+                upper = ref

@@ -45,6 +45,12 @@ class TestStepConfig:
         with pytest.raises(ValueError):
             StepConfig(constant_mu=0.0)
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan"), -float("inf")])
+    def test_constant_mu_finite(self, bad):
+        """An infinite or NaN mu is named with its value, not accepted."""
+        with pytest.raises(ValueError, match=f"constant_mu .* got {bad!r}"):
+            StepConfig(mode="constant", constant_mu=bad)
+
 
 def test_one_step_mu_single_linear_neuron():
     """cograd -1, dw 1, H_ww 1: numerator and denominator are both 1."""

@@ -56,6 +56,28 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(method="newton", init_range=0.0)
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("max_iters", 2.5),
+            ("max_iters", True),
+            ("max_iters", False),
+            ("max_iters", "3"),
+            ("max_iters", 0),
+            ("stall_tolerance", float("nan")),
+            ("stall_tolerance", -1e-12),
+        ],
+    )
+    def test_rejected_values_are_named(self, field, bad):
+        """A float or bool budget is not rounded or read as 1, and a NaN
+        stall tolerance is not accepted (it would never report a stall);
+        the error names the field and the value."""
+        with pytest.raises(ValueError, match=f"^{field} .* got {bad!r}$"):
+            TrainConfig(method="gradient_descent", step=StepConfig(mode="constant"), **{field: bad})
+
+    def test_numpy_integer_budget_is_accepted(self):
+        assert TrainConfig(method="newton", max_iters=np.int64(3)).iteration_budget == 3
+
 
 def test_train_single_neuron_newton_one_iteration():
     """Quadratic surface: Newton with omega=1 converges in one step."""
@@ -183,6 +205,27 @@ def test_training_never_assembles_hessian_blocks(monkeypatch):
             rec = train(xor_topology(act), xor(), config, seed=12345)
             assert rec.iterations >= 1
             assert rec.outcome in ("success",) + FAILURE_OUTCOMES
+
+
+@pytest.mark.parametrize("method, per_trial", [("gradient_descent", 0), ("newton", 1), ("pseudo_newton", 1)])
+def test_table_buffers_allocated_once_per_trial(monkeypatch, method, per_trial):
+    """A Newton-type trial allocates its layer tables once and overwrites
+    them on every iteration; gradient descent never builds tables."""
+    from holonewt import newton, training
+
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return newton.table_buffers(*args)
+
+    monkeypatch.setattr(training, "table_buffers", counting)
+    step = StepConfig(mode="constant") if method == "gradient_descent" else StepConfig(omega=0.5)
+    config = TrainConfig(method=method, step=step, max_iters=5)
+    topology = NetworkTopology((2, 4, 4, 1), ("taylor3",) * 3)
+    records = [train(topology, xor(), config, seed) for seed in (12345, 12346, 12347)]
+    assert sum(r.iterations for r in records) > len(records)
+    assert made == [(topology, 4)] * (per_trial * len(records))
 
 
 @pytest.mark.parametrize(
