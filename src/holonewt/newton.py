@@ -42,8 +42,8 @@ width is below the layer's weight count.
 
 A hidden layer's tables are (N, K_p, K_p) arrays, 128 KiB each on a
 16-wide layer over 32 samples.  Allocated afresh on every step, such
-arrays and the temporaries of their products are handed back to the OS
-when freed and page-faulted in again on the next iteration (about 200
+arrays and the temporaries of their products would go back to the OS
+when freed and be page-faulted in again on the next iteration (about 200
 minor faults per iteration on a 4-16-16-4 net).  So layer_step writes a
 hidden layer's tables only into buffers it is handed, which
 table_buffers allocates once per trial (train) or once per report
@@ -122,7 +122,7 @@ def _sandwich(left, table, right, inner, out):
         np.multiply(left, table[:, None, :], out=inner)
     else:
         np.matmul(left, table, out=inner)
-    return np.matmul(inner, right, out=out)
+    np.matmul(inner, right, out=out)
 
 
 def layer_step(topology, trace, targets, p, upper, w_next, curvature, buffers=None):

@@ -438,7 +438,6 @@ def test_battery_seeds_match_golden_rows(tmp_path, name):
     assert rows == [by_seed[r.seed] for r in records]
 
 
-
 # 2-4-4-1 on XOR: the only golden training runs whose hidden layer 1
 # receives a full (N, K, K) table from layer 2; the 2-4-1 battery's
 # hidden layer only ever reads the output layer's diagonals
@@ -465,6 +464,7 @@ def test_depth_3_trials_match_golden(tmp_path):
     tests/golden/deep_2-4-4-1.csv.  Regenerate it only for a change that
     is meant to move the arithmetic, and explain the diff."""
     assert deep_trials_csv(tmp_path / "trials.csv") == DEEP_GOLDEN.read_text()
+
 
 def test_summarize_counts():
     _, records = run_trials(xor_topology(), xor(), PSEUDO, 6, 12345)
