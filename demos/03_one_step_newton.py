@@ -21,6 +21,7 @@ from holonewt.newton import (
     node_blocks,
     one_step_denominator,
     sample_last,
+    table_buffers,
 )
 from holonewt.steplength import apply_update, mu_from_denominator
 
@@ -42,7 +43,9 @@ weights = init_weights(topology, seed=1)
 print(f"E before: {error(topology, weights, dataset):.6f}")
 
 trace = forward(topology, weights, dataset.inputs)
-delta, curv, cplus = layer_step(topology, trace, dataset.targets, 1, None, None, True)
+# handed the table buffers, the step carries the curvature tables too
+buffers = table_buffers(topology, n)
+delta, curv, cplus = layer_step(topology, trace, dataset.targets, 1, None, weights, buffers)
 cograd = cogradient_conj(delta, trace, 1)
 xt, xct = sample_last(trace.values[0])
 a = node_blocks(curv, xct, xt)  # (c, m, m): one H_ww block per output node

@@ -32,7 +32,6 @@ from .training import (
     TrainConfig,
     TrialRecord,
     TrialStats,
-    r_factor_estimate,
     run_trials,
     train,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "TrainConfig",
     "TrialRecord",
     "TrialStats",
-    "r_factor_estimate",
     "run_trials",
     "train",
 ]

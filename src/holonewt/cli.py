@@ -118,14 +118,10 @@ def load_config(path):
         raise ConfigError(f"cannot read dataset: {exc}") from None
     except ValueError as exc:
         raise ConfigError(f"bad dataset: {exc}") from None
-    if dataset.inputs.shape[1] != topology.widths[0]:
-        raise ConfigError(
-            f"dataset input width {dataset.inputs.shape[1]} does not match topology {topology.widths}"
-        )
-    if dataset.targets.shape[1] != topology.widths[-1]:
-        raise ConfigError(
-            f"dataset target width {dataset.targets.shape[1]} does not match topology {topology.widths}"
-        )
+    try:
+        topology.check_dataset(dataset)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
     sl = _get(doc, "steplength", dict, default={})
     _check_keys(sl, {"mode", "omega", "mu"}, "steplength")
@@ -160,6 +156,8 @@ def _verify_tolerances(doc):
     tols = dict(VERIFY_DEFAULTS)
     for key in section:
         tols[key] = _get(section, key, float)
+        if not tols[key] >= 0:
+            raise ConfigError(f"verify key {key!r} must be non-negative, got {tols[key]!r}")
     return tols
 
 

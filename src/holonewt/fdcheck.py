@@ -280,13 +280,15 @@ def verify_report(topology, weights, dataset):
     real-coordinate FD Hessian is estimated once and serves both the
     Hessian blocks and the quadratic form.
 
-    Raises NonFiniteEvaluation when a probe's error is not finite, or,
-    once a layer's probes are all finite, when its analytic cogradient or
-    either analytic block is not.
+    Raises ValueError when the dataset's widths are not the net's, and
+    NonFiniteEvaluation when a probe's error is not finite, or, once a
+    layer's probes are all finite, when its analytic cogradient or either
+    analytic block is not.
     """
     from . import newton
     from .gradient import cogradient_conj
 
+    topology.check_dataset(dataset)
     report = {"layers": []}
     deltas = newton.backward_tables(topology, weights, dataset)
     for p in range(1, topology.n_layers + 1):

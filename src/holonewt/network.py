@@ -78,6 +78,16 @@ class NetworkTopology:
     def activation(self, p):
         return get_activation(self.activations[p - 1])
 
+    def check_dataset(self, dataset):
+        """Raise ValueError unless the dataset's input and target widths
+        are this net's input and output widths."""
+        for what, width, expected in (
+            ("input", dataset.inputs.shape[1], self.widths[0]),
+            ("target", dataset.targets.shape[1], self.widths[-1]),
+        ):
+            if width != expected:
+                raise ValueError(f"dataset {what} width {width} does not match topology {self.widths}")
+
 
 def flat_index(topology, p, j, i):
     """1-based offset of weight w^(p-1)_ji inside layer p's flat vector."""

@@ -125,22 +125,22 @@ def _sandwich(left, table, right, inner, out):
     np.matmul(inner, right, out=out)
 
 
-def layer_step(topology, trace, targets, p, upper, w_next, curvature, buffers=None):
+def layer_step(topology, trace, targets, p, upper, weights, buffers=None):
     """Layer p's (delta, curvature, cplus), or its delta alone.
 
     At the output layer (`upper` None) the step starts from the residual
     y - d, and both tables are (N, C) diagonals.  Below it, `upper` is
-    what this function returned for layer p+1 and `w_next` is the weight
-    matrix w^(p) between the two layers, passed explicitly because a
-    training sweep has already updated it while the trace is still the
-    one from the top of the iteration.  With `curvature` false the step
-    carries only the deltas, and `upper` and the result are delta arrays.
+    what this function returned for layer p+1, carried back through
+    weights[p], which a training sweep has already updated while the
+    trace is still the one from the top of the iteration.
 
-    A hidden layer's tables are written only into `buffers`, layer p's
-    entry of table_buffers, and returned as those arrays; every entry is
-    overwritten, so the buffers may hold anything before the call.  A
-    training sweep hands each layer the same buffers on every iteration,
-    so the (N, K_p, K_p) tables are not allocated and freed per step.
+    The step carries the tables exactly when it is handed `buffers`, the
+    list from table_buffers; without it, `upper` and the result are delta
+    arrays.  A hidden layer's tables are written only into buffers[p-1]
+    and returned as those arrays; every entry is overwritten, so the
+    buffers may hold anything before the call.  A training sweep hands
+    each layer the same buffers on every iteration, so the (N, K_p, K_p)
+    tables are not allocated and freed per step.
 
     The row side of the curvature table takes g' at the conjugated net
     sums and its column side g' at the unconjugated ones; both sides of
@@ -155,16 +155,17 @@ def layer_step(topology, trace, targets, p, upper, w_next, curvature, buffers=No
     if upper is None:
         back = trace.outputs - targets
     else:
+        w_next = weights[p]
         wc = np.conj(w_next)
-        back = (upper[0] if curvature else upper) @ wc
+        back = (upper if buffers is None else upper[0]) @ wc
     delta = back * d1c
-    if not curvature:
+    if buffers is None:
         return delta
     resid = back * np.conj(act.d2(net, g))
     if upper is None:
         return delta, d1c * d1, resid
     _, curv_next, cplus_next = upper
-    curv, cplus, inner, product = buffers
+    curv, cplus, inner, product = buffers[p - 1]
     # ((left @ table) @ right) * d1c * d1, as a fresh product would round
     # it: no multiply writes over its own input, since numpy's in-place
     # complex multiply can round differently (it does on a single entry)
@@ -240,8 +241,7 @@ def backward_tables(topology, weights, dataset):
     steps = []
     upper = None
     for p in range(topology.n_layers, 0, -1):
-        w_next = weights[p] if upper is not None else None
-        upper = layer_step(topology, trace, dataset.targets, p, upper, w_next, True, buffers[p - 1])
+        upper = layer_step(topology, trace, dataset.targets, p, upper, weights, buffers)
         steps.append(upper)
     deltas, curv, cplus = (list(reversed(column)) for column in zip(*steps))
     return BackwardTables(trace, deltas, curv, cplus)

@@ -1,4 +1,4 @@
-"""Training loop, trial runner and convergence-rate estimation.
+"""Training loop and trial runner.
 
 One iteration sweeps the layers from the output backwards; each layer's
 update uses the downstream weights as already updated in this sweep,
@@ -55,7 +55,6 @@ __all__ = [
     "train",
     "run_trials",
     "summarize",
-    "r_factor_estimate",
     "write_trials_csv",
     "write_stats_json",
     "format_summary",
@@ -119,7 +118,6 @@ class TrialRecord:
     final_error: float
     stalled: Optional[bool] = None
     error_history: Optional[list] = None
-    weight_history: Optional[list] = None
     final_weights: Optional[list] = None
 
 
@@ -129,10 +127,6 @@ class TrialStats:
     successes: int
     mean_iterations_over_successes: Optional[float]
     failure_counts: dict
-
-
-def _flat_weights(weights):
-    return np.concatenate([w.ravel() for w in weights])
 
 
 def _finite(*arrays):
@@ -147,12 +141,10 @@ def _sweep(topology, weights, trace, targets, config, buffers):
     step = config.step
     upper = None
     for p in range(topology.n_layers, 0, -1):
-        w_next = weights[p] if upper is not None else None
+        upper = layer_step(topology, trace, targets, p, upper, weights, buffers)
         if buffers is None:
-            upper = layer_step(topology, trace, targets, p, upper, w_next, False)
             apply_update(weights, p, -cogradient_conj(upper, trace, p), step.constant_mu)
             continue
-        upper = layer_step(topology, trace, targets, p, upper, w_next, True, buffers[p - 1])
         delta, curv, cplus = upper
         cograd = cogradient_conj(delta, trace, p)
         # pseudo-Newton never reads the H_wbar_w stack, so it is not built
@@ -173,8 +165,12 @@ def _sweep(topology, weights, trace, targets, config, buffers):
         apply_update(weights, p, dw, mu, step.omega)
 
 
-def train(topology, dataset, config, seed, keep_history=True, record_weights=False):
-    """Train from the seeded initialization until success, failure or budget."""
+def train(topology, dataset, config, seed, keep_history=True):
+    """Train from the seeded initialization until success, failure or budget.
+
+    Raises ValueError when the dataset's widths are not the net's.
+    """
+    topology.check_dataset(dataset)
     weights = init_weights(topology, seed, config.init_range)
     # the Newton-type tables are overwritten in place on every iteration
     buffers = None
@@ -182,7 +178,6 @@ def train(topology, dataset, config, seed, keep_history=True, record_weights=Fal
         buffers = table_buffers(topology, dataset.inputs.shape[0])
     budget = config.iteration_budget
     history = []
-    weight_history = [_flat_weights(weights)] if record_weights else None
     outcome = stalled = None
     iterations = 0
     with np.errstate(all="ignore"):
@@ -209,8 +204,6 @@ def train(topology, dataset, config, seed, keep_history=True, record_weights=Fal
                     outcome = "non_finite"
                 else:
                     iterations += 1
-                    if record_weights:
-                        weight_history.append(_flat_weights(weights))
     return TrialRecord(
         seed=seed,
         outcome=outcome,
@@ -218,12 +211,11 @@ def train(topology, dataset, config, seed, keep_history=True, record_weights=Fal
         final_error=history[-1],
         stalled=stalled,
         error_history=history if keep_history else None,
-        weight_history=weight_history,
         final_weights=weights,
     )
 
 
-def run_trials(topology, dataset, config, n_trials, base_seed, jobs=1, record_weights=False):
+def run_trials(topology, dataset, config, n_trials, base_seed, jobs=1):
     """Run trials with seeds base_seed..base_seed+n-1, optionally in parallel.
 
     Trial k's result depends only on its seed and the configuration, and
@@ -234,7 +226,7 @@ def run_trials(topology, dataset, config, n_trials, base_seed, jobs=1, record_we
     """
     if n_trials < 1:
         raise ValueError("need at least one trial")
-    run = partial(train, topology, dataset, config, keep_history=False, record_weights=record_weights)
+    run = partial(train, topology, dataset, config, keep_history=False)
     seeds = range(base_seed, base_seed + n_trials)
     workers = min(jobs, -(-n_trials // TRIAL_CHUNK))
     if workers <= 1:
@@ -258,27 +250,6 @@ def summarize(records):
         mean_iterations_over_successes=mean_iters,
         failure_counts=counts,
     )
-
-
-def r_factor_estimate(weight_history):
-    """Estimate the R-convergence factor of a weight iterate sequence.
-
-    Takes the final iterate as the limit and returns the largest
-    ||z(n) - z_hat||^(1/n) over the trailing half of the history (the
-    final point itself excluded).  A value below 1 indicates at least
-    R-linear convergence; an exhausted history of identical iterates
-    gives 0.
-    """
-    if len(weight_history) < 4:
-        raise ValueError("need at least 4 iterates to estimate a rate")
-    z_hat = weight_history[-1]
-    last = len(weight_history) - 1
-    start = max(1, last // 2)
-    worst = 0.0
-    for n in range(start, last):
-        dist = float(np.linalg.norm(weight_history[n] - z_hat))
-        worst = max(worst, dist ** (1.0 / n))
-    return worst
 
 
 def _activation_label(topology):

@@ -10,7 +10,7 @@ import json
 
 import numpy as np
 
-from holonewt import Dataset, NetworkTopology, forward
+from holonewt import Dataset, NetworkTopology, forward, training
 from holonewt.fdcheck import fd_real_hessian
 from holonewt.linalg import PIVOT_RTOL, SingularMatrix
 from holonewt.steplength import StepConfig
@@ -248,3 +248,56 @@ def reference_layer_step(topology, trace, targets, p, upper, w_next, curvature):
     n_samples, k = resid.shape
     cplus.reshape(n_samples, k * k)[:, :: k + 1] += resid
     return delta, curv, cplus
+
+
+def record_weight_iterates(monkeypatch):
+    """Record the weight iterates of every trial `train` runs in this process.
+
+    Returns a list that gets one history per trial, in the order the
+    trials start: the flat initial weights, then the flat weights after
+    each sweep that completes, which is after every counted iteration,
+    so a history holds iterations + 1 iterates.  It patches
+    `training.init_weights`, which `train` calls once at the start of a
+    trial, and `training._sweep`; so it depends on those two names and
+    on `train` calling them, and sees nothing of trials run in worker
+    processes (`run_trials` with jobs > 1).
+    """
+    histories = []
+    init_weights, sweep = training.init_weights, training._sweep
+
+    def flat(weights):
+        return np.concatenate([w.ravel() for w in weights])
+
+    def init_and_record(*args, **kwargs):
+        weights = init_weights(*args, **kwargs)
+        histories.append([flat(weights)])
+        return weights
+
+    def sweep_and_record(topology, weights, *args):
+        sweep(topology, weights, *args)
+        histories[-1].append(flat(weights))
+
+    monkeypatch.setattr(training, "init_weights", init_and_record)
+    monkeypatch.setattr(training, "_sweep", sweep_and_record)
+    return histories
+
+
+def r_factor_estimate(weight_history):
+    """Estimate the R-convergence factor of a weight iterate sequence.
+
+    Takes the final iterate as the limit and returns the largest
+    ||z(n) - z_hat||^(1/n) over the trailing half of the history (the
+    final point itself excluded).  A value below 1 indicates at least
+    R-linear convergence; an exhausted history of identical iterates
+    gives 0.
+    """
+    if len(weight_history) < 4:
+        raise ValueError("need at least 4 iterates to estimate a rate")
+    z_hat = weight_history[-1]
+    last = len(weight_history) - 1
+    start = max(1, last // 2)
+    worst = 0.0
+    for n in range(start, last):
+        dist = float(np.linalg.norm(weight_history[n] - z_hat))
+        worst = max(worst, dist ** (1.0 / n))
+    return worst

@@ -25,7 +25,6 @@ from holonewt import (
     backward_tables,
     fd_hessians,
     hessian_pair,
-    r_factor_estimate,
     run_trials,
     verify_report,
 )
@@ -43,7 +42,14 @@ from holonewt.training import (
 )
 
 from conftest import XOR_INPUTS, XOR_TARGETS
-from helpers import BATTERY, complex_uniform, fd_hessians_conj, random_instance
+from helpers import (
+    BATTERY,
+    complex_uniform,
+    fd_hessians_conj,
+    r_factor_estimate,
+    random_instance,
+    record_weight_iterates,
+)
 
 XOR = Dataset(XOR_INPUTS.copy(), XOR_TARGETS.copy())
 BASE_SEED = 12345
@@ -303,26 +309,27 @@ def test_battery_matches_golden_trials(xor_battery):
     assert not changed, f"battery trials.csv differs from tests/golden for {changed}"
 
 
-def test_criterion_7_r_factor_diagnostic():
+def test_criterion_7_r_factor_diagnostic(monkeypatch):
     """Successful pseudo-Newton runs should converge at least R-linearly.
 
     The error target is pushed to the float64 floor so the trailing half
     of each weight trajectory sits inside the terminal basin, where the
     R-factor estimate reflects the asymptotic rate instead of the
-    transient search phase."""
+    transient search phase.  The trials run in this process, so the
+    recorder sees every iterate."""
     config = TrainConfig(
         method="pseudo_newton",
         step=StepConfig(mode="one_step_newton", omega=0.5),
         error_target=1e-30,
         max_iters=2000,
     )
-    _, records = run_trials(
-        xor_topology("taylor3"), XOR, config, 40, 500, jobs=1, record_weights=True
-    )
+    histories = record_weight_iterates(monkeypatch)
+    _, records = run_trials(xor_topology("taylor3"), XOR, config, 40, 500, jobs=1)
+    assert len(histories) == len(records)
     estimates = [
-        r_factor_estimate(r.weight_history)
-        for r in records
-        if r.outcome == "success" and len(r.weight_history) >= 4
+        r_factor_estimate(h)
+        for r, h in zip(records, histories)
+        if r.outcome == "success" and len(h) >= 4
     ]
     usable = len(estimates)
     below = sum(1 for e in estimates if e < 1.0)

@@ -58,6 +58,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="input width"):
             load_config(path)
 
+    def test_target_width_mismatch_with_dataset(self, tmp_path):
+        path = write_config(tmp_path, topology=[2, 4, 2], activations=["taylor3"] * 2)
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == "dataset target width 1 does not match topology (2, 4, 2)"
+
     def test_bad_activation_name(self, tmp_path):
         path = write_config(tmp_path, activations=["taylor3", "relu"])
         with pytest.raises(ConfigError):
@@ -404,17 +410,19 @@ class TestVerifyCommand:
         assert report["max_cogradient_rel"] <= 1e-5
         assert report["max_h_ww_rel"] <= 1e-5
 
-    def test_custom_tolerances_respected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("tol", [1e-15, 0.0])
+    def test_custom_tolerances_respected(self, tmp_path, capsys, tol):
+        """Any non-negative tolerance is taken, zero included."""
         cfg = write_config(
             tmp_path,
             topology=[2, 3, 1],
             activations=["taylor3", "taylor3"],
-            verify={"hessian_tol": 1e-15},
+            verify={"hessian_tol": tol},
         )
         rc = main(["verify", "--config", str(cfg), "--seed", "0"])
         assert rc == 2
         report = json.loads(capsys.readouterr().out)
-        assert report["tolerances"]["hessian_tol"] == 1e-15
+        assert report["tolerances"]["hessian_tol"] == tol
         assert report["within_tolerance"] is False
 
     @pytest.mark.parametrize("section", [5, ["cogradient_tol"]])
@@ -584,6 +592,17 @@ class TestOutOfRangeNumbers:
         cfg = write_config(tmp_path, topology=[2, 3, 1], trial=trial)
         out = run_cli(command, "--config", str(cfg), *self.out_args(tmp_path, command))
         self.assert_rejected(out)
+
+    @pytest.mark.parametrize("key, value", [("hessian_tol", -1.0), ("cogradient_tol", -1e-300)])
+    def test_negative_verify_tolerance_exits_1(self, tmp_path, key, value):
+        """A negative tolerance is a config error, not a failed check: no
+        probe runs and no report is written."""
+        cfg = write_config(tmp_path, topology=[2, 3, 1], verify={key: value})
+        report = tmp_path / "report.json"
+        out = run_cli("verify", "--config", str(cfg), "--out", str(report))
+        self.assert_rejected(out)
+        assert f"verify key {key!r} must be non-negative" in out.stderr
+        assert not report.exists()
 
     def test_overflowing_literal_exits_1(self, tmp_path):
         cfg = write_config(tmp_path, trial={"init_range": 1.0})

@@ -249,6 +249,14 @@ def test_relative_error_conventions():
     )
 
 
+@pytest.mark.parametrize("target_width", [1, 3])
+def test_verify_report_rejects_a_target_width_that_is_not_the_output_width(target_width):
+    t, w, ds = random_instance((2, 3, 2), "taylor3", 0)
+    ds = Dataset(ds.inputs, np.zeros((len(ds), target_width)))
+    with pytest.raises(ValueError, match="dataset target width"):
+        verify_report(t, w, ds)
+
+
 def test_verify_report_structure_and_tolerances():
     t, w, ds = random_instance((2, 3, 1), "taylor3", 8)
     report = verify_report(t, w, ds)

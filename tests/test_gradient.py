@@ -18,13 +18,13 @@ def single_linear_neuron():
 
 
 def delta_output(topology, trace, targets):
-    """The output layer's deltas: layer_step with the curvature off."""
-    return layer_step(topology, trace, targets, topology.n_layers, None, None, False)
+    """The output layer's deltas: layer_step without table buffers."""
+    return layer_step(topology, trace, targets, topology.n_layers, None, None)
 
 
-def delta_hidden(topology, trace, delta_next, w_next, p):
-    """Hidden layer p's deltas from layer p+1's, through w_next."""
-    return layer_step(topology, trace, None, p, delta_next, w_next, False)
+def delta_hidden(topology, trace, delta_next, weights, p):
+    """Hidden layer p's deltas from layer p+1's, through weights[p]."""
+    return layer_step(topology, trace, None, p, delta_next, weights)
 
 
 def test_delta_output_zero_residual():
@@ -56,7 +56,7 @@ def test_delta_hidden_zero_delta():
     w = [complex_uniform(rng, (2, 2)), complex_uniform(rng, (1, 2))]
     trace = forward(t, w, complex_uniform(rng, (3, 2)))
     zero = np.zeros((3, 1), dtype=complex)
-    np.testing.assert_array_equal(delta_hidden(t, trace, zero, w[1], 1), np.zeros((3, 2)))
+    np.testing.assert_array_equal(delta_hidden(t, trace, zero, w, 1), np.zeros((3, 2)))
 
 
 def test_delta_hidden_zero_weights():
@@ -65,7 +65,7 @@ def test_delta_hidden_zero_weights():
     w = [complex_uniform(rng, (2, 2)), np.zeros((1, 2), dtype=complex)]
     trace = forward(t, w, complex_uniform(rng, (3, 2)))
     delta = complex_uniform(rng, (3, 1))
-    np.testing.assert_array_equal(delta_hidden(t, trace, delta, w[1], 1), np.zeros((3, 2)))
+    np.testing.assert_array_equal(delta_hidden(t, trace, delta, w, 1), np.zeros((3, 2)))
 
 
 def test_cogradient_hand_expansion_221():
@@ -79,7 +79,7 @@ def test_cogradient_hand_expansion_221():
     ds = Dataset(np.array([[1.0, 1j]]), np.array([[2.0]]))
     trace = forward(t, w, ds.inputs)
     delta2 = delta_output(t, trace, ds.targets)
-    delta1 = delta_hidden(t, trace, delta2, w[1], 1)
+    delta1 = delta_hidden(t, trace, delta2, w, 1)
     cog = cogradient_conj(delta1, trace, 1)
     np.testing.assert_allclose(cog, [-2.0, 2j, 2j, 2.0], atol=1e-15)
 

@@ -40,7 +40,8 @@ def output_step(topology, trace, targets=None):
     does not depend on the targets."""
     if targets is None:
         targets = np.zeros_like(trace.outputs)
-    return layer_step(topology, trace, targets, topology.n_layers, None, None, True)
+    buffers = table_buffers(topology, trace.outputs.shape[0])
+    return layer_step(topology, trace, targets, topology.n_layers, None, None, buffers)
 
 
 class TestCurvatureTables:
@@ -69,18 +70,15 @@ class TestCurvatureTables:
         trace = forward(t, w, complex_uniform(rng, (4, 2)))
         delta, curv, cplus = output_step(t, trace, complex_uniform(rng, (4, 2)))
         assert delta.shape == curv.shape == cplus.shape == (4, 2)
-        _, curv1, cplus1 = layer_step(
-            t, trace, None, 1, (delta, curv, cplus), w[1], True, table_buffers(t, 4)[0]
-        )
+        _, curv1, cplus1 = layer_step(t, trace, None, 1, (delta, curv, cplus), w, table_buffers(t, 4))
         _, full1, fullplus1 = layer_step(
             t,
             trace,
             None,
             1,
             (delta, curv[:, :, None] * np.eye(2), cplus[:, :, None] * np.eye(2)),
-            w[1],
-            True,
-            table_buffers(t, 4)[0],
+            w,
+            table_buffers(t, 4),
         )
         np.testing.assert_allclose(curv1, full1, rtol=1e-14, atol=1e-16)
         np.testing.assert_allclose(cplus1, fullplus1, rtol=1e-14, atol=1e-16)
@@ -99,7 +97,7 @@ class TestCurvatureTables:
         w = [complex_uniform(rng, (2, 2)), np.zeros((1, 2), dtype=complex)]
         trace = forward(t, w, complex_uniform(rng, (3, 2)))
         upper = output_step(t, trace, complex_uniform(rng, (3, 1)))
-        _, curv1, cplus1 = layer_step(t, trace, None, 1, upper, w[1], True, table_buffers(t, 3)[0])
+        _, curv1, cplus1 = layer_step(t, trace, None, 1, upper, w, table_buffers(t, 3))
         np.testing.assert_array_equal(curv1, np.zeros((3, 2, 2)))
         np.testing.assert_array_equal(cplus1, np.zeros((3, 2, 2)))
 
@@ -110,17 +108,16 @@ class TestCurvatureTables:
         w = [np.array([[0.7 + 0.2j]]), np.array([[w2]])]
         trace = forward(t, w, np.array([[1.5]]))
         upper = output_step(t, trace)
-        _, curv1, _ = layer_step(t, trace, None, 1, upper, w[1], True, table_buffers(t, 1)[0])
+        _, curv1, _ = layer_step(t, trace, None, 1, upper, w, table_buffers(t, 1))
         np.testing.assert_allclose(curv1, [[[5.0]]], rtol=1e-15)
 
     def test_delta_only_step_matches_the_triple(self):
-        """With curvature off, the step carries the same deltas."""
+        """Without table buffers, the step carries the same deltas."""
         t, w, ds = random_instance((2, 3, 3, 1), "sigmoid", 9)
         tables = backward_tables(t, w, ds)
         delta = None
         for p in range(t.n_layers, 0, -1):
-            w_next = w[p] if delta is not None else None
-            delta = layer_step(t, tables.trace, ds.targets, p, delta, w_next, False)
+            delta = layer_step(t, tables.trace, ds.targets, p, delta, w)
             np.testing.assert_array_equal(delta, tables.deltas[p - 1])
 
     def test_backward_tables_layers_share_no_memory(self):
@@ -456,7 +453,7 @@ def test_layer_step_keeps_reference_bits(widths, act, n_samples, seed):
             for p in range(t.n_layers, 0, -1):
                 w_next = w[p] if upper is not None else None
                 ref = reference_layer_step(t, trace, ds.targets, p, upper, w_next, True)
-                got = layer_step(t, trace, ds.targets, p, upper, w_next, True, buffers[p - 1])
+                got = layer_step(t, trace, ds.targets, p, upper, w, buffers)
                 for g, r in zip(got, ref):
                     assert g.shape == r.shape
                     assert_same_bits(g, r)

@@ -9,7 +9,6 @@ from holonewt.steplength import StepConfig
 from holonewt.training import (
     FAILURE_OUTCOMES,
     TrainConfig,
-    r_factor_estimate,
     run_trials,
     summarize,
     train,
@@ -17,7 +16,13 @@ from holonewt.training import (
 )
 
 from conftest import XOR_INPUTS, XOR_TARGETS
-from helpers import BATTERY, complex_uniform, random_instance
+from helpers import (
+    BATTERY,
+    complex_uniform,
+    r_factor_estimate,
+    random_instance,
+    record_weight_iterates,
+)
 
 
 def xor():
@@ -148,16 +153,20 @@ def test_train_singular_matrix_outcome():
     assert rec.outcome == "singular_matrix"
 
 
-def test_train_history_and_weight_recording():
-    rec = train(xor_topology(), xor(), PSEUDO, seed=1, record_weights=True)
+def test_train_history_and_weight_recording(monkeypatch):
+    histories = record_weight_iterates(monkeypatch)
+    rec = train(xor_topology(), xor(), PSEUDO, seed=1)
     assert rec.error_history is not None
     assert len(rec.error_history) == rec.iterations + 1
-    assert rec.weight_history is not None
-    assert len(rec.weight_history) == rec.iterations + 1
-    assert rec.weight_history[0].shape == (12,)
+    (weight_history,) = histories
+    assert len(weight_history) == rec.iterations + 1
+    assert weight_history[0].shape == (12,)
+    np.testing.assert_array_equal(
+        weight_history[-1], np.concatenate([w.ravel() for w in rec.final_weights])
+    )
 
 
-def test_initial_weights_shared_across_methods():
+def test_initial_weights_shared_across_methods(monkeypatch):
     """Same seed, same topology: every method starts from identical
     weights, so method comparisons see matched initializations."""
     t = xor_topology()
@@ -165,16 +174,17 @@ def test_initial_weights_shared_across_methods():
         method="gradient_descent", step=StepConfig(mode="constant"), max_iters=1
     )
     newton = TrainConfig(method="newton", max_iters=1)
-    r1 = train(t, xor(), gd, seed=7, record_weights=True)
-    r2 = train(t, xor(), newton, seed=7, record_weights=True)
-    np.testing.assert_array_equal(r1.weight_history[0], r2.weight_history[0])
+    histories = record_weight_iterates(monkeypatch)
+    train(t, xor(), gd, seed=7)
+    train(t, xor(), newton, seed=7)
+    np.testing.assert_array_equal(histories[0][0], histories[1][0])
     np.testing.assert_array_equal(
-        r1.weight_history[0],
+        histories[0][0],
         np.concatenate([w.ravel() for w in init_weights(t, 7)]),
     )
 
 
-def test_newton_equals_pseudo_iterates_on_identity_net():
+def test_newton_equals_pseudo_iterates_on_identity_net(monkeypatch):
     """H_wbar_w = 0 exactly, so the two methods walk the same path."""
     t = NetworkTopology((2, 2), ("identity",))
     rng = np.random.default_rng(5)
@@ -182,10 +192,12 @@ def test_newton_equals_pseudo_iterates_on_identity_net():
     d = complex_uniform(rng, (4, 2))
     ds = Dataset(x, d)
     kwargs = dict(step=StepConfig(mode="one_step_newton", omega=0.5), max_iters=6)
-    newton_rec = train(t, ds, TrainConfig(method="newton", **kwargs), 11, record_weights=True)
-    pseudo_rec = train(t, ds, TrainConfig(method="pseudo_newton", **kwargs), 11, record_weights=True)
-    assert len(newton_rec.weight_history) == len(pseudo_rec.weight_history)
-    for a, b in zip(newton_rec.weight_history, pseudo_rec.weight_history):
+    histories = record_weight_iterates(monkeypatch)
+    train(t, ds, TrainConfig(method="newton", **kwargs), 11)
+    train(t, ds, TrainConfig(method="pseudo_newton", **kwargs), 11)
+    newton_history, pseudo_history = histories
+    assert len(newton_history) == len(pseudo_history)
+    for a, b in zip(newton_history, pseudo_history):
         np.testing.assert_array_equal(a, b)
 
 
@@ -331,6 +343,63 @@ def test_non_finite_denominator_ends_the_trial(monkeypatch, bad):
     rec = train(t, xor(), TrainConfig(method="pseudo_newton", max_iters=5), seed=12345)
     assert rec.outcome == "non_finite"
     assert rec.iterations == 0
+
+
+def test_non_finite_node_block_ends_the_trial(monkeypatch):
+    """A NaN node block with a finite E ends the trial as non_finite
+    before any solve or update."""
+    from holonewt import training
+
+    monkeypatch.setattr(
+        training, "node_blocks", lambda table, left, right: np.full((1, 2, 2), np.nan + 0j)
+    )
+    t = NetworkTopology((2, 1), ("taylor3",))
+    rec = train(t, xor(), TrainConfig(method="pseudo_newton", max_iters=5), seed=12345)
+    assert np.isfinite(rec.error_history[0])
+    assert rec.outcome == "non_finite"
+    assert rec.iterations == 0
+
+
+@pytest.mark.parametrize("method", ["newton", "pseudo_newton"])
+def test_constant_steplength_newton_step_on_a_quadratic(method):
+    """On an identity net with targets it fits exactly, E is quadratic
+    with minimum 0, and a Newton-type method with a constant steplength
+    takes mu * omega of the exact Newton step: mu = omega = 1 lands on
+    the minimum, and mu = 0.5 halves the residual, so each iteration
+    divides E by 4."""
+    t = NetworkTopology((3, 2), ("identity",))
+    rng = np.random.default_rng(0)
+    x = complex_uniform(rng, (5, 3))
+    ds = Dataset(x, x @ complex_uniform(rng, (2, 3)).T)
+    full = TrainConfig(
+        method=method,
+        step=StepConfig(mode="constant", constant_mu=1.0, omega=1.0),
+        error_target=1e-18,
+    )
+    rec = train(t, ds, full, seed=1)
+    assert rec.outcome == "success"
+    assert rec.iterations == 1
+    assert rec.final_error <= 1e-18
+
+    half = TrainConfig(
+        method=method,
+        step=StepConfig(mode="constant", constant_mu=0.5, omega=1.0),
+        error_target=1e-18,
+        max_iters=3,
+    )
+    rec = train(t, ds, half, seed=1)
+    assert rec.iterations == 3
+    for before, after in zip(rec.error_history, rec.error_history[1:]):
+        assert after == pytest.approx(before / 4, rel=1e-12)
+
+
+@pytest.mark.parametrize("targets", [XOR_TARGETS, np.zeros((4, 3))])
+def test_train_rejects_a_target_width_that_is_not_the_output_width(targets):
+    """A 2-4-2 net's outputs would broadcast against 1-wide targets and
+    fail to against 3-wide ones; either way the dataset is refused."""
+    t = NetworkTopology((2, 4, 2), ("taylor3", "taylor3"))
+    with pytest.raises(ValueError, match="dataset target width"):
+        train(t, Dataset(XOR_INPUTS, targets), PSEUDO, seed=0)
 
 
 class TestRunTrials:
