@@ -161,22 +161,6 @@ def _verify_tolerances(doc):
     return tols
 
 
-def _resolve_jobs(value):
-    source = "--jobs"
-    if value is None:
-        env = os.environ.get("HOLONEWT_JOBS", "")
-        if not env:
-            return 1
-        try:
-            value = int(env)
-        except ValueError:
-            raise ConfigError(f"HOLONEWT_JOBS={env!r} is not an integer") from None
-        source = "HOLONEWT_JOBS"
-    if value < 1:
-        raise ConfigError(f"{source} must be at least 1, got {value}")
-    return value
-
-
 def _write_manifest(outdir, command, doc, artifacts, started):
     manifest = {
         "command": command,
@@ -256,10 +240,11 @@ def cmd_trials(args):
     _check_seed(args.seed)
     if args.trials < 1:
         raise ConfigError(f"--trials must be at least 1, got {args.trials}")
-    jobs = _resolve_jobs(args.jobs)
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     topology, dataset, config, doc = load_config(args.config)
     outdir = _make_outdir(args.out)
-    stats, records = run_trials(topology, dataset, config, args.trials, args.seed, jobs=jobs)
+    stats, records = run_trials(topology, dataset, config, args.trials, args.seed, jobs=args.jobs)
     with _writing_output():
         csv_path = outdir / "trials.csv"
         write_trials_csv(csv_path, records, config, topology)
@@ -349,7 +334,7 @@ def build_parser():
     p_trials.add_argument("--out", required=True, help="output directory")
     p_trials.add_argument("--trials", type=int, default=100, metavar="N")
     p_trials.add_argument("--seed", type=int, default=0, help="base seed; trial k uses seed+k")
-    p_trials.add_argument("--jobs", type=int, default=None, help="parallel workers (env HOLONEWT_JOBS)")
+    p_trials.add_argument("--jobs", type=int, default=1, help="parallel workers")
     p_trials.set_defaults(func=cmd_trials)
 
     p_verify = sub.add_parser("verify", help="finite-difference derivative check")

@@ -288,7 +288,6 @@ def verify_report(topology, weights, dataset):
     from . import newton
     from .gradient import cogradient_conj
 
-    topology.check_dataset(dataset)
     report = {"layers": []}
     deltas = newton.backward_tables(topology, weights, dataset)
     for p in range(1, topology.n_layers + 1):

@@ -172,6 +172,7 @@ def error_from_trace(trace, targets):
 
 
 def error(topology, weights, dataset):
+    topology.check_dataset(dataset)
     return error_from_trace(forward(topology, weights, dataset.inputs), dataset.targets)
 
 

@@ -234,7 +234,10 @@ class BackwardTables:
 
 
 def backward_tables(topology, weights, dataset):
-    """Run the forward pass and the backward recursion without updating any weights."""
+    """Run the forward pass and the backward recursion without updating
+    any weights.  Raises ValueError when the dataset's widths are not the
+    net's."""
+    topology.check_dataset(dataset)
     trace = forward(topology, weights, dataset.inputs)
     # one buffer set per layer, so every layer's tables stay distinct arrays
     buffers = table_buffers(topology, dataset.inputs.shape[0])

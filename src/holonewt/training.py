@@ -1,5 +1,10 @@
 """Training loop and trial runner.
 
+`run_trials` runs a batch in this process unless it spans more than one
+chunk of TRIAL_CHUNK trials and more than one job is asked for; only
+then does it import the process pool, so a serial run never loads
+`concurrent.futures.process` or `multiprocessing`.
+
 One iteration sweeps the layers from the output backwards; each layer's
 update uses the downstream weights as already updated in this sweep,
 while the forward trace stays the one computed at the top of the
@@ -25,7 +30,6 @@ Otherwise it sweeps the layers, and the sweep can end the trial as:
 import csv
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Optional
@@ -221,8 +225,9 @@ def run_trials(topology, dataset, config, n_trials, base_seed, jobs=1):
     Trial k's result depends only on its seed and the configuration, and
     results are collected in seed order, so the output is identical for
     any job count.  Trials go to the workers in chunks of TRIAL_CHUNK, so
-    at most one worker per chunk is started, and a batch of a single
-    chunk runs in this process.
+    at most one worker per chunk is started.  With jobs=1, or a batch of
+    a single chunk, the trials run in this process and the process pool
+    is not imported.
     """
     if n_trials < 1:
         raise ValueError("need at least one trial")
@@ -232,6 +237,10 @@ def run_trials(topology, dataset, config, n_trials, base_seed, jobs=1):
     if workers <= 1:
         records = [run(seed) for seed in seeds]
     else:
+        # imported here so that a process running its trials serially
+        # never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(run, seeds, chunksize=TRIAL_CHUNK))
     return summarize(records), records

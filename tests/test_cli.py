@@ -148,14 +148,6 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"holonewt: {message}\n"
         assert not out.exists()
 
-    def test_bad_jobs_env_exits_1_before_creating_out(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("HOLONEWT_JOBS", "-3")
-        path = write_config(tmp_path, topology=[2, 3, 1])
-        out = tmp_path / "o"
-        assert main(["trials", "--config", str(path), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "holonewt: HOLONEWT_JOBS must be at least 1, got -3\n"
-        assert not out.exists()
-
     def test_missing_config_file_exits_1(self, tmp_path, capsys):
         rc = main(["train", "--config", str(tmp_path / "no.json"), "--out", str(tmp_path)])
         assert rc == 1
@@ -344,32 +336,42 @@ class TestTrialsCommand:
         assert (d1 / "trials.csv").read_bytes() == (d2 / "trials.csv").read_bytes()
         assert (d1 / "stats.json").read_bytes() == (d2 / "stats.json").read_bytes()
 
-    def test_jobs_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HOLONEWT_JOBS", "2")
-        rc1, d1 = self.run(tmp_path, "env", [])
-        monkeypatch.delenv("HOLONEWT_JOBS")
-        rc2, d2 = self.run(tmp_path, "flag", ["--jobs", "1"])
-        assert rc1 == rc2 == 0
-        assert (d1 / "trials.csv").read_bytes() == (d2 / "trials.csv").read_bytes()
-
-    def test_bad_jobs_env_exits_1(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HOLONEWT_JOBS", "banana")
-        rc, _ = self.run(tmp_path, "bad", [])
-        assert rc == 1
-
     def test_zero_jobs_exits_1(self, tmp_path):
         rc, _ = self.run(tmp_path, "zero", ["--jobs", "0"])
         assert rc == 1
 
+    def test_serial_batches_load_no_process_pool(self, tmp_path):
+        """Importing the package and running trials serially, at --jobs 1
+        or in a single chunk, leaves the process pool unloaded."""
+        cfg = write_config(tmp_path, **self.CFG)
+        argv = ["trials", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                "--trials", "16", "--seed", "300", "--jobs", "1"]
+        script = f"""
+import sys
+from holonewt import cli
+from holonewt.training import run_trials
+topology, dataset, config, _ = cli.load_config({str(cfg)!r})
+run_trials(topology, dataset, config, 3, 300, jobs=1)
+run_trials(topology, dataset, config, 3, 300, jobs=4)
+assert cli.main({argv!r}) == 0
+print([m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.modules])
+"""
+        done = run_python("-c", script)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
 
-def run_cli(*args):
-    """Run ``python -m holonewt.cli`` on the imported package's source."""
+
+def run_python(*args):
+    """Run the interpreter on the imported package's source."""
     src = str(Path(holonewt.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "holonewt.cli", *args], capture_output=True, text=True, env=env
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def run_cli(*args):
+    """Run ``python -m holonewt.cli`` on the imported package's source."""
+    return run_python("-m", "holonewt.cli", *args)
 
 
 class TestVerifyCommand:

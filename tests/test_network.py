@@ -6,6 +6,7 @@ import pytest
 from holonewt import (
     Dataset,
     NetworkTopology,
+    backward_tables,
     error,
     flat_index,
     forward,
@@ -139,6 +140,19 @@ def test_error_matches_bruteforce(xor_dataset):
             brute += abs(trace.outputs[ti, l] - xor_dataset.targets[ti, l]) ** 2
     brute /= 4
     assert error(t, w, xor_dataset) == pytest.approx(brute, rel=1e-14)
+
+
+@pytest.mark.parametrize("target_width", [1, 3])
+@pytest.mark.parametrize("fn", [error, backward_tables])
+def test_rejects_a_target_width_that_is_not_the_output_width(fn, target_width):
+    """A 2-4-2 net's outputs would broadcast against 1-wide targets; both
+    widths are refused with the message load_config gives."""
+    t = topo((2, 4, 2), "taylor3")
+    w = init_weights(t, 0)
+    ds = Dataset(XOR_INPUTS, np.zeros((4, target_width)))
+    with pytest.raises(ValueError) as info:
+        fn(t, w, ds)
+    assert str(info.value) == f"dataset target width {target_width} does not match topology (2, 4, 2)"
 
 
 def test_error_invariant_under_sample_reorder():

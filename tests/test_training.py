@@ -446,6 +446,8 @@ class TestRunTrials:
         """No more workers than chunks of TRIAL_CHUNK trials, and no pool
         at all for a single chunk.  The executor is a spy that maps in
         this process, so no worker process is started."""
+        import concurrent.futures
+
         from holonewt import training
 
         started = []
@@ -464,7 +466,7 @@ class TestRunTrials:
                 assert chunksize == training.TRIAL_CHUNK
                 return map(fn, args)
 
-        monkeypatch.setattr(training, "ProcessPoolExecutor", SpyExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyExecutor)
         cfg = TrainConfig(method="pseudo_newton", max_iters=2)
         _, records = run_trials(xor_topology(), xor(), cfg, n_trials, 7, jobs=jobs)
         assert started == ([] if workers is None else [workers])
