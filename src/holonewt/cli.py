@@ -161,12 +161,32 @@ def _verify_tolerances(doc):
     return tols
 
 
+def _blas_core():
+    """The core numpy's bundled OpenBLAS selected on this host, or None
+    when that library or its core query is not there.  The output bits
+    depend on it (see tests/golden/README.md)."""
+    import ctypes  # numpy has loaded it already
+
+    libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        name = corename()
+        return name.decode() if name else None
+    return None
+
+
 def _write_manifest(outdir, command, doc, artifacts, started):
     manifest = {
         "command": command,
         "config": doc,
         "artifacts": [str(Path(a).name) for a in artifacts],
         "version": __version__,
+        "numpy": np.__version__,
+        "blas_core": _blas_core(),
         "duration_seconds": round(time.monotonic() - started, 3),
     }
     with open(Path(outdir) / "run_manifest.json", "w") as fh:

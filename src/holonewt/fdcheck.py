@@ -28,6 +28,8 @@ in the test suite and behind the command line `verify` command.
 
 import numpy as np
 
+from .network import uniform_draws
+
 # probes are evaluated in extended precision where the platform has it,
 # so that the cancellation inside central differences happens before any
 # rounding to double
@@ -303,9 +305,8 @@ def verify_report(topology, weights, dataset):
                 )
         fd_ww, fd_wbar_w = _wirtinger_hessians(h_rr)
         h_scale = max(np.linalg.norm(fd_ww), np.linalg.norm(fd_wbar_w))
-        rng = np.random.Generator(np.random.PCG64(p))
         n = topology.layer_size(p)
-        v = rng.uniform(-1, 1, size=(n, 2)) @ np.array([1, 1j])
+        v = uniform_draws(p, -1, 1, 2 * n).reshape(n, 2) @ np.array([1, 1j])
         analytic = real_quadratic_form(h_ww, h_wbar_w, v)
         vr = np.concatenate([v.real, v.imag])
         reference = float(vr @ h_rr @ vr)

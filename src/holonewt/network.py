@@ -8,6 +8,8 @@ the weight from node i to node j sits at offset (j-1)*K[p-1] + (i-1).
 """
 
 import json
+import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +21,7 @@ __all__ = [
     "ForwardTrace",
     "Dataset",
     "flat_index",
+    "uniform_draws",
     "init_weights",
     "forward",
     "error",
@@ -130,22 +133,138 @@ class Dataset:
         return self.inputs.shape[0]
 
 
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+# numpy.random.SeedSequence hashes with multipliers that advance the same
+# way for every seed, so the (constant, next constant) pair of each hash
+# step is tabled once: 16 steps fill and mix the pool of four 32-bit words,
+# 8 more draw the state words from it
+_MULT_A = 0x931E8875
+
+
+def _hash_keys(const, mult, n):
+    keys = []
+    for _ in range(n):
+        keys.append((const, const * mult & _MASK32))
+        const = keys[-1][1]
+    return keys
+
+
+_POOL_KEYS = _hash_keys(0x43B0D7E5, _MULT_A, 16)
+_STATE_KEYS = [(i % 4, *key) for i, key in enumerate(_hash_keys(0x8B51F9DD, 0x58F38DED, 8))]
+_CROSS_MIXES = [(src, dst) for src in range(4) for dst in range(4) if src != dst]
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64_seed(seed):
+    """The (state, increment) of numpy's PCG64(seed) for an integer seed:
+    SeedSequence's hash of the seed's 32-bit words, then PCG64's seeding."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    entropy = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    keys = _POOL_KEYS + _hash_keys(_POOL_KEYS[-1][1], _MULT_A, 4 * len(entropy[4:]))
+    pool = []
+    for word, (const, key) in zip((entropy + [0, 0, 0])[:4], keys):
+        word = (word ^ const) * key & _MASK32
+        pool.append(word ^ word >> 16)
+    # every pool word is hashed into every other, then every entropy word
+    # past the fourth (kept unhashed after the pool) into each pool word
+    pool += entropy[4:]
+    mixes = _CROSS_MIXES + [(src, dst) for src in range(4, len(pool)) for dst in range(4)]
+    for (src, dst), (const, key) in zip(mixes, keys[4:]):
+        word = (pool[src] ^ const) * key & _MASK32
+        word = (0xCA01F9DD * pool[dst] - 0x4973F715 * (word ^ word >> 16)) & _MASK32
+        pool[dst] = word ^ word >> 16
+    words = []
+    for src, const, key in _STATE_KEYS:
+        word = (pool[src] ^ const) * key & _MASK32
+        words.append(word ^ word >> 16)
+    # generate_state(4, np.uint64) pairs the 32-bit words little-endian
+    initstate, initseq = (
+        (words[k] | words[k + 1] << 32) << 64 | words[k + 2] | words[k + 3] << 32 for k in (0, 4)
+    )
+    inc = (initseq << 1 | 1) & _MASK128
+    return ((initstate + inc) * _PCG_MULT + inc) & _MASK128, inc
+
+
+# The LCG is advanced _LANES states at a time in one Python int holding a
+# _LANE_BITS-bit lane per state.  From the seeded state s, lane k of the
+# first block holds A^(k+1) s + (A^k + ... + 1) inc, A the multiplier; each
+# later block takes every lane of the one before 64 steps on.  A lane's
+# value stays below 2^257, so no carry crosses into the next lane.
+_LANES, _LANE_BITS = 64, 320
+
+
+def _jump_tables():
+    mult = inc = 0
+    power, series = 1, 0
+    for k in range(_LANES):
+        series = (series + power) & _MASK128
+        power = power * _PCG_MULT & _MASK128
+        mult |= power << (_LANE_BITS * k)
+        inc |= series << (_LANE_BITS * k)
+    ones = sum(1 << (_LANE_BITS * k) for k in range(_LANES))
+    # a 128-bit mask in every lane; the last lane's A^64 and A^63 + ... + 1
+    # advance a state 64 steps
+    return mult, inc, _MASK128 * ones, power, series * ones
+
+
+_JUMP_MULT, _JUMP_INC, _LOW_128, _MULT_64, _INC_64 = _jump_tables()
+
+
+def uniform_draws(seed, low, high, count):
+    """The values of np.random.Generator(np.random.PCG64(seed)).uniform(low,
+    high, count), bit for bit, without importing numpy.random.
+
+    The seed is hashed as numpy's SeedSequence hashes an integer; PCG64 is
+    the 128-bit LCG with XSL-RR output (O'Neill 2014), and a 64-bit output
+    x gives low + (high - low) * ((x >> 11) * 2**-53).  A negative seed or
+    a negative high - low raises ValueError, a seed that is not an integer
+    TypeError and a non-finite high - low OverflowError, as numpy does.
+    """
+    state, inc = _pcg64_seed(seed)
+    low, high = float(low), float(high)
+    span = high - low
+    if not math.isfinite(span):
+        raise OverflowError("high - low range exceeds valid bounds")
+    if math.copysign(1.0, span) < 0:
+        raise ValueError("high - low < 0")
+    # a first block of fewer than 64 draws takes only the lanes it needs
+    first = _LANE_BITS * min(count, _LANES)
+    keep = (1 << first) - 1
+    lanes = state * (_JUMP_MULT & keep) + inc * (_JUMP_INC & keep)
+    blocks = [lanes.to_bytes(first // 8, "little")]
+    if count > _LANES:
+        step = inc * _INC_64
+        for _ in range(1, -(-count // _LANES)):
+            lanes = (lanes & _LOW_128) * _MULT_64 + step
+            blocks.append(lanes.to_bytes(_LANES * _LANE_BITS // 8, "little"))
+    # the low two 64-bit words of each lane are the state mod 2^128
+    words = np.frombuffer(b"".join(blocks), "<u8").reshape(-1, _LANE_BITS // 64)[:count]
+    hi = words[:, 1]
+    rot = hi >> 58
+    xored = hi ^ words[:, 0]
+    # rotate right by rot; the & 63 keeps rot = 0 from shifting by 64
+    out = (xored >> rot) | (xored << ((64 - rot) & 63))
+    return low + span * ((out >> 11) * 2.0**-53)
+
+
 def init_weights(topology, seed, init_range=1.0):
     """Draw each layer's weights with re/im i.i.d. uniform in [-r, r].
 
-    Uses numpy's PCG64 stream seeded with `seed`; for a fixed seed the
-    draw depends only on the topology widths, so different training
-    methods started from the same seed share initial weights.
+    The values are uniform_draws(seed, -r, r, ...), one stream for all
+    layers in order, each weight's real part drawn before its imaginary
+    part: the same values as numpy's Generator(PCG64(seed)).uniform.
+    For a fixed seed the draw depends only on the topology widths, so
+    different training methods started from the same seed share initial
+    weights.
     """
-    rng = np.random.Generator(np.random.PCG64(seed))
-    weights = []
-    for p in range(1, len(topology.widths)):
-        n = topology.layer_size(p)
-        draws = rng.uniform(-init_range, init_range, size=(n, 2))
-        w = (draws[:, 0] + 1j * draws[:, 1]).reshape(
-            topology.widths[p], topology.widths[p - 1]
-        )
-        weights.append(w)
+    n = sum(topology.layer_size(p) for p in range(1, len(topology.widths)))
+    draws = uniform_draws(seed, -init_range, init_range, 2 * n).view(complex)
+    weights, start = [], 0
+    for k_in, k_out in zip(topology.widths, topology.widths[1:]):
+        weights.append(draws[start : start + k_out * k_in].reshape(k_out, k_in))
+        start += k_out * k_in
     return weights
 
 

@@ -227,10 +227,13 @@ def run_trials(topology, dataset, config, n_trials, base_seed, jobs=1):
     any job count.  Trials go to the workers in chunks of TRIAL_CHUNK, so
     at most one worker per chunk is started.  With jobs=1, or a batch of
     a single chunk, the trials run in this process and the process pool
-    is not imported.
+    is not imported.  A job count that is not an integer of at least 1
+    raises ValueError before any trial runs.
     """
     if n_trials < 1:
         raise ValueError("need at least one trial")
+    if not (isinstance(jobs, (int, np.integer)) and not isinstance(jobs, bool) and jobs >= 1):
+        raise ValueError(f"jobs must be an integer of at least 1, got {jobs!r}")
     run = partial(train, topology, dataset, config, keep_history=False)
     seeds = range(base_seed, base_seed + n_trials)
     workers = min(jobs, -(-n_trials // TRIAL_CHUNK))

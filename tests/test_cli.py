@@ -276,6 +276,8 @@ class TestTrainCommand:
             "weights.json",
         ]
         assert manifest["config"]["method"] == "pseudo_newton"
+        assert manifest["numpy"] == np.__version__
+        assert manifest["blas_core"] is None or isinstance(manifest["blas_core"], str)
 
     def test_failed_run_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, trial={"max_iters": 1})
@@ -329,6 +331,28 @@ class TestTrialsCommand:
         assert len(rows) == 17
         assert rows[1].startswith("300,pseudo_newton,taylor3,")
 
+    def test_manifest_records_the_build(self, tmp_path, monkeypatch):
+        """The manifest names numpy's version and the BLAS core, and a
+        core that cannot be read is null, not an error."""
+        import ctypes
+
+        rc, out = self.run(tmp_path, "found", ["--trials", "1"])
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert rc == 0
+        assert manifest["numpy"] == np.__version__
+        assert manifest["blas_core"] is None or isinstance(manifest["blas_core"], str)
+
+        def no_library(path):
+            raise OSError(f"cannot load {path}")
+
+        for cdll in (no_library, lambda path: object()):
+            monkeypatch.setattr(ctypes, "CDLL", cdll)
+            rc, out = self.run(tmp_path, "missing", ["--trials", "1"])
+            manifest = json.loads((out / "run_manifest.json").read_text())
+            assert rc == 0
+            assert manifest["numpy"] == np.__version__
+            assert manifest["blas_core"] is None
+
     def test_jobs_do_not_change_artifacts(self, tmp_path):
         rc1, d1 = self.run(tmp_path, "serial", ["--jobs", "1"])
         rc2, d2 = self.run(tmp_path, "parallel", ["--jobs", "2"])
@@ -359,6 +383,26 @@ print([m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.
         done = run_python("-c", script)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[]"
+
+    def test_commands_load_no_numpy_random(self, tmp_path):
+        """train, trials and verify draw their weights and directions
+        without importing numpy.random."""
+        cfg = write_config(tmp_path, **self.CFG)
+        runs = [
+            ["train", "--config", str(cfg), "--out", str(tmp_path / "train"), "--seed", "300"],
+            ["trials", "--config", str(cfg), "--out", str(tmp_path / "trials"), "--trials", "3"],
+            ["verify", "--config", str(cfg), "--seed", "1"],
+        ]
+        script = f"""
+import sys
+from holonewt import cli
+for argv in {runs!r}:
+    cli.main(argv)
+print("numpy.random" in sys.modules)
+"""
+        done = run_python("-c", script)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
 
 
 def run_python(*args):

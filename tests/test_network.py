@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from holonewt import (
     Dataset,
@@ -15,7 +17,7 @@ from holonewt import (
     load_dataset,
     save_checkpoint,
 )
-from holonewt.network import error_from_trace
+from holonewt.network import error_from_trace, uniform_draws
 
 from conftest import XOR_INPUTS, XOR_TARGETS
 from helpers import complex_uniform, save_dataset
@@ -211,6 +213,77 @@ def test_init_weights_range_scaling():
     t = topo((2, 2), "identity")
     w = init_weights(t, 0, init_range=0.01)[0]
     assert np.max(np.abs(w.real)) <= 0.01
+
+
+def numpy_uniform(seed, low, high, count):
+    """The reference stream uniform_draws reproduces."""
+    return np.random.Generator(np.random.PCG64(seed)).uniform(low, high, count)
+
+
+def reference_init_weights(topology, seed, init_range):
+    """init_weights as numpy's generator draws it, one layer at a time."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    weights = []
+    for p in range(1, len(topology.widths)):
+        draws = rng.uniform(-init_range, init_range, size=(topology.layer_size(p), 2))
+        w = draws[:, 0] + 1j * draws[:, 1]
+        weights.append(w.reshape(topology.widths[p], topology.widths[p - 1]))
+    return weights
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**200),
+    count=st.integers(0, 300),
+    low=st.floats(-1e300, 1e300),
+    span=st.floats(0, 1e300),
+)
+@example(seed=2**32 - 1, count=64, low=-1.0, span=2.0)
+@example(seed=2**64, count=65, low=-1.0, span=2.0)
+@example(seed=2**127, count=129, low=-0.3, span=0.6)
+@example(seed=12345, count=24, low=-1e300, span=1e300)
+def test_uniform_draws_match_numpy_bit_for_bit(seed, count, low, span):
+    """The same float64 bits as numpy's PCG64 uniform stream, across the
+    64-state blocks, for seeds of one to seven 32-bit words."""
+    high = low + span
+    expected = numpy_uniform(seed, low, high, count)
+    got = uniform_draws(seed, low, high, count)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "widths, seed, init_range",
+    [((2, 4, 1), 12345, 1.0), ((4, 16, 16, 4), np.int64(3), 0.3), ((4, 6, 3), 2**64, 1e300)],
+)
+def test_init_weights_match_numpy_layer_by_layer(widths, seed, init_range):
+    t = topo(widths, "taylor3")
+    got = init_weights(t, seed, init_range)
+    for a, b in zip(got, reference_init_weights(t, seed, init_range), strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "seed, low, high",
+    [
+        (-1, -1.0, 1.0),  # negative seed
+        (1.5, -1.0, 1.0),  # float seed
+        (0, 1.0, -1.0),  # negative high - low
+        (0, 0.0, -0.0),  # high - low is -0.0
+        (0, -1e308, 1e308),  # high - low overflows
+        (0, 0.0, float("nan")),
+    ],
+)
+def test_uniform_draws_raise_as_numpy_does(seed, low, high):
+    with pytest.raises(Exception) as expected:
+        numpy_uniform(seed, low, high, 4)
+    with pytest.raises(Exception) as got:
+        uniform_draws(seed, low, high, 4)
+    assert type(got.value) is expected.type
+    if low == -high:
+        with pytest.raises(Exception) as got:
+            init_weights(topo((2, 4, 1)), seed, high)
+        assert type(got.value) is expected.type
 
 
 def test_checkpoint_round_trip(tmp_path):

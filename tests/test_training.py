@@ -472,6 +472,23 @@ class TestRunTrials:
         assert started == ([] if workers is None else [workers])
         assert [r.seed for r in records] == list(range(7, 7 + n_trials))
 
+    @pytest.mark.parametrize("n_trials", [2, 9])
+    @pytest.mark.parametrize("jobs", [-5, 0, 2.5, True])
+    def test_rejects_a_bad_job_count(self, monkeypatch, n_trials, jobs):
+        """A job count that is not an integer of at least 1 is refused
+        before any trial runs or any pool starts."""
+        import concurrent.futures
+
+        from holonewt import training
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("started work for a bad job count")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(training, "train", refuse)
+        with pytest.raises(ValueError, match=f"jobs must be an integer of at least 1, got {jobs!r}"):
+            run_trials(xor_topology(), xor(), PSEUDO, n_trials, 0, jobs=jobs)
+
     def test_rejects_empty_batch(self):
         with pytest.raises(ValueError):
             run_trials(xor_topology(), xor(), PSEUDO, 0, 0)
