@@ -29,11 +29,11 @@ import numpy as np
 from . import __version__
 from .fdcheck import NonFiniteEvaluation, verify_report
 from .network import (
-    FINITE_JSON,
     Dataset,
     NetworkTopology,
     init_weights,
     load_dataset,
+    read_json,
     save_checkpoint,
 )
 from .steplength import StepConfig
@@ -90,7 +90,7 @@ def load_config(path):
     """Parse and validate a config file; returns (topology, dataset, train_config, doc)."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(), **FINITE_JSON)
+        doc = read_json(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
     except ValueError as exc:

@@ -29,7 +29,7 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "load_dataset",
-    "FINITE_JSON",
+    "read_json",
 ]
 
 
@@ -134,25 +134,26 @@ class Dataset:
 
 
 _MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
-# numpy.random.SeedSequence hashes with multipliers that advance the same
-# way for every seed, so the (constant, next constant) pair of each hash
-# step is tabled once: 16 steps fill and mix the pool of four 32-bit words,
-# 8 more draw the state words from it
-_MULT_A = 0x931E8875
-
-
-def _hash_keys(const, mult, n):
-    keys = []
-    for _ in range(n):
-        keys.append((const, const * mult & _MASK32))
-        const = keys[-1][1]
-    return keys
-
-
-_POOL_KEYS = _hash_keys(0x43B0D7E5, _MULT_A, 16)
-_STATE_KEYS = [(i % 4, *key) for i, key in enumerate(_hash_keys(0x8B51F9DD, 0x58F38DED, 8))]
-_CROSS_MIXES = [(src, dst) for src in range(4) for dst in range(4) if src != dst]
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(const, mult):
+    """numpy.random.SeedSequence's hashmix from a starting constant: XOR a
+    32-bit word with the constant, step the constant, multiply, xorshift."""
+
+    def hashmix(value):
+        nonlocal const
+        value ^= const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _mix(x, y):
+    value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+    return value ^ value >> 16
 
 
 def _pcg64_seed(seed):
@@ -162,54 +163,25 @@ def _pcg64_seed(seed):
     if seed < 0:
         raise ValueError("expected non-negative integer")
     entropy = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    keys = _POOL_KEYS + _hash_keys(_POOL_KEYS[-1][1], _MULT_A, 4 * len(entropy[4:]))
-    pool = []
-    for word, (const, key) in zip((entropy + [0, 0, 0])[:4], keys):
-        word = (word ^ const) * key & _MASK32
-        pool.append(word ^ word >> 16)
-    # every pool word is hashed into every other, then every entropy word
-    # past the fourth (kept unhashed after the pool) into each pool word
-    pool += entropy[4:]
-    mixes = _CROSS_MIXES + [(src, dst) for src in range(4, len(pool)) for dst in range(4)]
-    for (src, dst), (const, key) in zip(mixes, keys[4:]):
-        word = (pool[src] ^ const) * key & _MASK32
-        word = (0xCA01F9DD * pool[dst] - 0x4973F715 * (word ^ word >> 16)) & _MASK32
-        pool[dst] = word ^ word >> 16
-    words = []
-    for src, const, key in _STATE_KEYS:
-        word = (pool[src] ^ const) * key & _MASK32
-        words.append(word ^ word >> 16)
-    # generate_state(4, np.uint64) pairs the 32-bit words little-endian
+    # mix_entropy: a pool of four words, each hashed into every other,
+    # then every entropy word past the fourth into each pool word
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(word) for word in (entropy + [0, 0, 0])[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    # generate_state(4, np.uint64): eight 32-bit words paired little-endian
+    hashmix = _hasher(0x8B51F9DD, 0x58F38DED)
+    words = [hashmix(pool[k % 4]) for k in range(8)]
     initstate, initseq = (
         (words[k] | words[k + 1] << 32) << 64 | words[k + 2] | words[k + 3] << 32 for k in (0, 4)
     )
     inc = (initseq << 1 | 1) & _MASK128
     return ((initstate + inc) * _PCG_MULT + inc) & _MASK128, inc
-
-
-# The LCG is advanced _LANES states at a time in one Python int holding a
-# _LANE_BITS-bit lane per state.  From the seeded state s, lane k of the
-# first block holds A^(k+1) s + (A^k + ... + 1) inc, A the multiplier; each
-# later block takes every lane of the one before 64 steps on.  A lane's
-# value stays below 2^257, so no carry crosses into the next lane.
-_LANES, _LANE_BITS = 64, 320
-
-
-def _jump_tables():
-    mult = inc = 0
-    power, series = 1, 0
-    for k in range(_LANES):
-        series = (series + power) & _MASK128
-        power = power * _PCG_MULT & _MASK128
-        mult |= power << (_LANE_BITS * k)
-        inc |= series << (_LANE_BITS * k)
-    ones = sum(1 << (_LANE_BITS * k) for k in range(_LANES))
-    # a 128-bit mask in every lane; the last lane's A^64 and A^63 + ... + 1
-    # advance a state 64 steps
-    return mult, inc, _MASK128 * ones, power, series * ones
-
-
-_JUMP_MULT, _JUMP_INC, _LOW_128, _MULT_64, _INC_64 = _jump_tables()
 
 
 def uniform_draws(seed, low, high, count):
@@ -218,9 +190,10 @@ def uniform_draws(seed, low, high, count):
 
     The seed is hashed as numpy's SeedSequence hashes an integer; PCG64 is
     the 128-bit LCG with XSL-RR output (O'Neill 2014), and a 64-bit output
-    x gives low + (high - low) * ((x >> 11) * 2**-53).  A negative seed or
-    a negative high - low raises ValueError, a seed that is not an integer
-    TypeError and a non-finite high - low OverflowError, as numpy does.
+    x gives low + (high - low) * ((x >> 11) * 2**-53).  A negative seed,
+    count or high - low raises ValueError, a seed or count that is not an
+    integer TypeError and a non-finite high - low OverflowError, as numpy
+    does.
     """
     state, inc = _pcg64_seed(seed)
     low, high = float(low), float(high)
@@ -229,18 +202,12 @@ def uniform_draws(seed, low, high, count):
         raise OverflowError("high - low range exceeds valid bounds")
     if math.copysign(1.0, span) < 0:
         raise ValueError("high - low < 0")
-    # a first block of fewer than 64 draws takes only the lanes it needs
-    first = _LANE_BITS * min(count, _LANES)
-    keep = (1 << first) - 1
-    lanes = state * (_JUMP_MULT & keep) + inc * (_JUMP_INC & keep)
-    blocks = [lanes.to_bytes(first // 8, "little")]
-    if count > _LANES:
-        step = inc * _INC_64
-        for _ in range(1, -(-count // _LANES)):
-            lanes = (lanes & _LOW_128) * _MULT_64 + step
-            blocks.append(lanes.to_bytes(_LANES * _LANE_BITS // 8, "little"))
-    # the low two 64-bit words of each lane are the state mod 2^128
-    words = np.frombuffer(b"".join(blocks), "<u8").reshape(-1, _LANE_BITS // 64)[:count]
+    states = bytearray()
+    for _ in range(count):
+        state = (state * _PCG_MULT + inc) & _MASK128
+        states += state.to_bytes(16, "little")
+    # each state as its low and high 64-bit words
+    words = np.ndarray((count, 2), "<u8", buffer=states)
     hi = words[:, 1]
     rot = hi >> 58
     xored = hi ^ words[:, 0]
@@ -314,8 +281,8 @@ def save_checkpoint(path, topology, weights):
 def _complex_entries(entries, where):
     """A list of [re, im] pairs of JSON numbers as complex numbers.
 
-    true and false are not numbers; the FINITE_JSON hooks have already
-    rejected non-finite floats, and an integer too large for a float is
+    true and false are not numbers; read_json has already rejected
+    non-finite floats, and an integer too large for a float is
     rejected here.  An error names `where` and the entry's index.
     """
     values = []
@@ -337,8 +304,7 @@ def load_checkpoint(path):
     [re, im] pair of finite numbers; anything else, NaN and Infinity
     included, raises ValueError.
     """
-    with open(path) as fh:
-        doc = json.load(fh, **FINITE_JSON)
+    doc = read_json(path)
     if not (isinstance(doc, dict) and {"widths", "activations", "layers"} <= set(doc)):
         raise ValueError("checkpoint must be an object with widths, activations and layers")
     widths, activations, layers = doc["widths"], doc["activations"], doc["layers"]
@@ -368,9 +334,20 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not a finite number")
 
 
-# json.load hooks for inputs: Python's json accepts NaN, Infinity and
-# -Infinity and reads an overflowing float as inf; these reject them
-FINITE_JSON = {"parse_float": _finite_float, "parse_constant": _reject_constant}
+def read_json(path):
+    """Parse a JSON input file (config, dataset or checkpoint).
+
+    Python's json accepts NaN, Infinity and -Infinity and reads an
+    overflowing float as inf; here those raise ValueError, and so does
+    nesting too deep for the parser.  A file that cannot be read raises
+    OSError.
+    """
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        return json.loads(text, parse_float=_finite_float, parse_constant=_reject_constant)
+    except RecursionError:
+        raise ValueError("JSON is nested too deeply") from None
 
 
 def load_dataset(path):
@@ -380,8 +357,7 @@ def load_dataset(path):
     [re, im] pair of finite numbers (booleans, NaN, Infinity and
     overflowing numbers are not), raises ValueError naming the sample.
     """
-    with open(path) as fh:
-        doc = json.load(fh, **FINITE_JSON)
+    doc = read_json(path)
     if not isinstance(doc, list) or not doc:
         raise ValueError("dataset must be a non-empty JSON array of samples")
     inputs, targets = [], []

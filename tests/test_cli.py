@@ -704,6 +704,16 @@ class TestOutOfRangeNumbers:
         self.assert_rejected(out)
         assert out.stderr == "holonewt: bad dataset: sample 1 is not an object with input and target lists\n"
 
+    @pytest.mark.parametrize("where", ["config", "dataset"])
+    def test_deeply_nested_json_exits_1(self, tmp_path, where):
+        """Nesting too deep for the JSON parser is a bad input, not a
+        RecursionError traceback."""
+        cfg = write_config(tmp_path, topology=[2, 3, 1], dataset_path="data.json")
+        (cfg if where == "config" else tmp_path / "data.json").write_text("[" * 200_000)
+        out = run_cli("verify", "--config", str(cfg))
+        self.assert_rejected(out)
+        assert "JSON is nested too deeply" in out.stderr
+
     @staticmethod
     def out_args(tmp_path, command):
         return ["--out", str(tmp_path / "out")] if command == "train" else []

@@ -242,9 +242,11 @@ def reference_init_weights(topology, seed, init_range):
 @example(seed=2**64, count=65, low=-1.0, span=2.0)
 @example(seed=2**127, count=129, low=-0.3, span=0.6)
 @example(seed=12345, count=24, low=-1e300, span=1e300)
+@example(seed=2**200 - 1, count=7, low=-1.0, span=2.0)
 def test_uniform_draws_match_numpy_bit_for_bit(seed, count, low, span):
-    """The same float64 bits as numpy's PCG64 uniform stream, across the
-    64-state blocks, for seeds of one to seven 32-bit words."""
+    """The same float64 bits as numpy's PCG64 uniform stream, for counts
+    from none to several hundred draws and seeds of one to seven 32-bit
+    words (past four, the extra words are mixed into the pool)."""
     high = low + span
     expected = numpy_uniform(seed, low, high, count)
     got = uniform_draws(seed, low, high, count)
@@ -314,6 +316,13 @@ def test_load_checkpoint_reads_integer_and_float_parts(tmp_path):
 def test_load_checkpoint_rejects_non_finite_weights(tmp_path, value):
     path = _checkpoint(tmp_path, layers=f"[[[0.5, 0], [1, {value}]]]")
     with pytest.raises(ValueError, match="is (not a finite number|out of range)"):
+        load_checkpoint(path)
+
+
+def test_load_checkpoint_rejects_deeply_nested_json(tmp_path):
+    path = tmp_path / "ckpt.json"
+    path.write_text("[" * 200_000)
+    with pytest.raises(ValueError, match="nested too deeply"):
         load_checkpoint(path)
 
 
