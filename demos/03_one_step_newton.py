@@ -6,8 +6,9 @@ Newton steplength comes out as mu = 1. With omega = 1 the first
 iteration should land at machine precision.
 
 The step is taken the way a training sweep takes it: the layer's tables,
-its per-node block stacks, the coupled Newton solve, and the one-step
-steplength from the same tables, without assembling H_ww or H_wbar_w.
+the coupled Newton update from those tables and the layer's input, and
+the one-step steplength from the same tables, without assembling H_ww or
+H_wbar_w.
 """
 
 import numpy as np
@@ -15,14 +16,7 @@ import numpy as np
 from holonewt import Dataset, NetworkTopology, error, forward
 from holonewt.gradient import cogradient_conj
 from holonewt.network import init_weights
-from holonewt.newton import (
-    layer_step,
-    newton_update,
-    node_blocks,
-    one_step_denominator,
-    sample_last,
-    table_buffers,
-)
+from holonewt.newton import layer_step, newton_update, one_step_denominator, table_buffers
 from holonewt.steplength import apply_update, mu_from_denominator
 
 rng = np.random.default_rng(0)
@@ -47,14 +41,13 @@ trace = forward(topology, weights, dataset.inputs)
 buffers = table_buffers(topology, n)
 delta, curv, cplus = layer_step(topology, trace, dataset.targets, 1, None, weights, buffers)
 cograd = cogradient_conj(delta, trace, 1)
-xt, xct = sample_last(trace.values[0])
-a = node_blocks(curv, xct, xt)  # (c, m, m): one H_ww block per output node
-g = node_blocks(cplus, xct, xct)  # the matching H_wbar_w blocks
-print(f"H_wbar_w vanishes for identity activations: max |entry| = "
-      f"{np.abs(g).max():.1e}")
+# the conjugate-plus-residual table, from which H_wbar_w is built
+print(f"H_wbar_w vanishes for identity activations: max |cplus| = "
+      f"{np.abs(cplus).max():.1e}")
 
-dw = newton_update(a, g, cograd)
-mu = mu_from_denominator(cograd, dw, one_step_denominator(curv, cplus, trace, 1, dw))
+x0 = trace.values[0]  # the layer's input
+dw = newton_update(curv, cplus, x0, cograd)
+mu = mu_from_denominator(cograd, dw, one_step_denominator(curv, cplus, x0, dw))
 print(f"one-step steplength mu = {mu:.15f}")
 
 apply_update(weights, 1, dw, mu, omega=1.0)

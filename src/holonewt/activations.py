@@ -6,10 +6,9 @@ g(conj(z)) == conj(g(z)); the backpropagation recursions rely on that
 symmetry.  Non-finite values (e.g. the sigmoid evaluated at a pole) are
 returned as-is rather than masked.
 
-d1 and d2 take the forward value g = f(z) as an optional second
-argument.  The sigmoid's derivatives are polynomials in g, so with it
-they skip recomputing exp; given g == f(z) the result is the same to the
-bit.  The other activations ignore it.
+d1 and d2 take the forward value g = f(z) as their second argument.  The
+sigmoid's derivatives are polynomials in g, so they need no exp of their
+own; the other activations ignore it.
 """
 
 from dataclasses import dataclass
@@ -52,15 +51,11 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def _sigmoid_d1(z, g=None):
-    if g is None:
-        g = _sigmoid(z)
+def _sigmoid_d1(z, g):
     return g * (1.0 - g)
 
 
-def _sigmoid_d2(z, g=None):
-    if g is None:
-        g = _sigmoid(z)
+def _sigmoid_d2(z, g):
     return g * (1.0 - g) * (1.0 - 2.0 * g)
 
 
@@ -69,12 +64,12 @@ def _taylor3(z):
     return 0.5 + z / 4.0 - z**3 / 48.0
 
 
-def _taylor3_d1(z, g=None):
+def _taylor3_d1(z, g):
     z = _as_complex(z)
     return 0.25 - z**2 / 16.0
 
 
-def _taylor3_d2(z, g=None):
+def _taylor3_d2(z, g):
     return -_as_complex(z) / 8.0
 
 
@@ -82,11 +77,11 @@ def _identity(z):
     return _as_complex(z)
 
 
-def _one(z, g=None):
+def _one(z, g):
     return np.ones_like(_as_complex(z))
 
 
-def _zero(z, g=None):
+def _zero(z, g):
     return np.zeros_like(_as_complex(z))
 
 

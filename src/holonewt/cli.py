@@ -9,9 +9,9 @@ Three subcommands share one JSON config format:
   verify   finite-difference cross-check of the analytic derivatives;
            prints (or writes) a JSON report
 
-Exit codes: 0 on success, 1 for usage or configuration problems, 2 for
-numerical failures (a failed training run, verification out of
-tolerance).
+Exit codes: 0 on success, 1 for usage or configuration problems or a
+run that does not fit in memory, 2 for numerical failures (a failed
+training run, verification out of tolerance).
 """
 
 import argparse
@@ -126,9 +126,7 @@ def load_config(path):
     sl = _get(doc, "steplength", dict, default={})
     _check_keys(sl, {"mode", "omega", "mu"}, "steplength")
     tr = _get(doc, "trial", dict, default={})
-    _check_keys(
-        tr, {"error_target", "max_iters", "blowup_threshold", "stall_tolerance", "init_range"}, "trial"
-    )
+    _check_keys(tr, {"error_target", "max_iters", "blowup_threshold", "init_range"}, "trial")
     try:
         step = StepConfig(
             mode=_get(sl, "mode", str, default="one_step_newton"),
@@ -141,7 +139,6 @@ def load_config(path):
             error_target=_get(tr, "error_target", float, default=0.001),
             max_iters=_get(tr, "max_iters", int, default=None),
             blowup_threshold=_get(tr, "blowup_threshold", float, default=1e10),
-            stall_tolerance=_get(tr, "stall_tolerance", float, default=1e-10),
             init_range=_get(tr, "init_range", float, default=1.0),
         )
     except ValueError as exc:
@@ -372,6 +369,9 @@ def main(argv=None):
         return args.func(args)
     except (ConfigError, ValueError) as exc:
         print(f"holonewt: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"holonewt: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -32,6 +32,10 @@ __all__ = [
     "read_json",
 ]
 
+# the most weights a net may have: init_weights draws them one Python
+# step at a time, and the Newton-type tables grow with the widths squared
+MAX_WEIGHTS = 10**6
+
 
 @dataclass(frozen=True)
 class NetworkTopology:
@@ -62,6 +66,9 @@ class NetworkTopology:
             raise ValueError("a network needs at least an input and an output layer")
         if any(w < 1 for w in self.widths):
             raise ValueError(f"layer widths must be positive: {self.widths}")
+        n = sum(a * b for a, b in zip(self.widths, self.widths[1:]))
+        if n > MAX_WEIGHTS:
+            raise ValueError(f"topology {self.widths} has {n} weights, above the cap of {MAX_WEIGHTS}")
         if len(self.activations) != self.n_layers:
             raise ValueError(
                 f"{self.n_layers} layers need {self.n_layers} activations, "

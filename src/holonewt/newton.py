@@ -23,11 +23,12 @@ pass; the factors at the conjugated net sums are their conjugates, since
 every activation has real Taylor coefficients (see activations).
 
 Training runs layer_step inside its sweep, on the downstream weights as
-already updated there, and never assembles H_ww or H_wbar_w: it builds
-the per-node diagonal blocks straight from the table diagonals
-(node_blocks), solves all of a layer's nodes in one stacked elimination,
-and takes the steplength's quadratic forms from the tables
-(one_step_denominator).  Pseudo-Newton builds only the H_ww stack, since
+already updated there, and never assembles H_ww or H_wbar_w: an update
+takes a layer's tables and input, builds the per-node diagonal blocks
+straight from the table diagonals, raises DegenerateStep on anything
+not finite and solves all of the layer's nodes in one stacked
+elimination; one_step_denominator takes the steplength's quadratic forms
+from the same tables.  Pseudo-Newton builds only the H_ww stack, since
 its solve never reads H_wbar_w.  backward_tables runs the same step on
 fixed weights and keeps every layer's tables; hessian_pair assembles the
 full blocks from them, the reference that `verify` and the tests compare
@@ -50,12 +51,12 @@ table_buffers allocates once per trial (train) or once per report
 (backward_tables, whose layers stay distinct arrays), in the same order
 of arithmetic as fresh products and so with the same bits.
 
-The node-block contraction sums over the samples, so node_blocks takes
-its operands sample-last and contiguous (sample_last): einsum's inner
-loop then runs over unit-stride memory, which at wide layers outweighs
-the cost of the copies.  The sum still visits the samples in
-order, so the blocks keep the sample-first contraction's bits (a NaN
-entry stays NaN, though its payload may differ).
+The node-block contraction sums over the samples, so the updates hand
+it x^T and conj(x)^T as contiguous copies with the sample axis last:
+einsum's inner loop then runs over unit-stride memory, which at wide
+layers outweighs the cost of the copies.  The sum still visits the
+samples in order, so the blocks keep the sample-first contraction's bits
+(a NaN entry stays NaN, though its payload may differ).
 """
 
 from dataclasses import dataclass
@@ -64,12 +65,11 @@ import numpy as np
 
 from .linalg import solve
 from .network import forward
+from .steplength import DegenerateStep
 
 __all__ = [
     "table_buffers",
     "layer_step",
-    "sample_last",
-    "node_blocks",
     "one_step_denominator",
     "BackwardTables",
     "backward_tables",
@@ -182,22 +182,15 @@ def layer_step(topology, trace, targets, p, upper, weights, buffers=None):
     return delta, curv, cplus
 
 
-def sample_last(x):
-    """(x^T, conj(x)^T) of an (N, K) layer input, each a contiguous (K, N)
-    copy with the sample axis last, as node_blocks takes its operands."""
-    xt = x.T.copy()
-    return xt, np.conj(xt)
-
-
-def node_blocks(table, left, right):
+def _node_blocks(table, left, right):
     """One per-node diagonal block stack of H_ww or H_wbar_w, assembling neither.
 
-    With (xt, xct) = sample_last(x) for layer p's input x, returns the
-    (K_p, K_{p-1}, K_{p-1}) stacks
-      node_blocks(curv, xct, xt)   A[j, i, a] = H_ww[(j,i),(j,a)]
-                                              = mean_t curvature[t,j,j] conj(x_i) x_a
-      node_blocks(cplus, xct, xct) G[j, i, a] = H_wbar_w[(j,i),(j,a)]
-                                              = mean_t cplus[t,j,j] conj(x_i) conj(x_a)
+    With xt = x.T and xct = conj(x).T, contiguous copies of layer p's
+    input x, returns the (K_p, K_{p-1}, K_{p-1}) stacks
+      _node_blocks(curv, xct, xt)   A[j, i, a] = H_ww[(j,i),(j,a)]
+                                               = mean_t curvature[t,j,j] conj(x_i) x_a
+      _node_blocks(cplus, xct, xct) G[j, i, a] = H_wbar_w[(j,i),(j,a)]
+                                               = mean_t cplus[t,j,j] conj(x_i) conj(x_a)
     from the diagonal of the curvature or conjugate-plus-residual table,
     full or diagonal.  This costs O(N K_p K_{p-1}^2) where the assembled
     blocks cost O(N K_p^2 K_{p-1}^2).
@@ -208,16 +201,16 @@ def node_blocks(table, left, right):
     return blocks
 
 
-def one_step_denominator(curv_p, cplus_p, trace, p, dw):
+def one_step_denominator(curv, cplus, x, dw):
     """Re{dw^H H_ww dw + dw^H H_wbar_w conj(dw)} from the tables alone.
 
-    With u_t = dW x_t, the layer's step applied to sample t, the two
-    quadratic forms are mean_t u_t^H C_t u_t and mean_t u_t^H T_t conj(u_t)
-    for the curvature table C and the conjugate-plus-residual table T.
+    With u_t = dW x_t, the layer's step applied to sample t of its input
+    x, the two quadratic forms are mean_t u_t^H C_t u_t and
+    mean_t u_t^H T_t conj(u_t) for the curvature table C and the
+    conjugate-plus-residual table T.
     """
-    x = trace.values[p - 1]
     u = x @ dw.reshape(-1, x.shape[1]).T
-    form = np.vdot(u, _apply(curv_p, u)) + np.vdot(u, _apply(cplus_p, np.conj(u)))
+    form = np.vdot(u, _apply(curv, u)) + np.vdot(u, _apply(cplus, np.conj(u)))
     return float(np.real(form)) / x.shape[0]
 
 
@@ -271,12 +264,10 @@ def hessian_pair(tables, p):
     return _assemble(tables.curvature[p - 1], xc, x), _assemble(tables.cplus[p - 1], xc, xc)
 
 
-def _stack(h):
-    """`h` as a (K, n, n) node-block stack, or a ValueError naming that shape."""
-    h = np.asarray(h)
-    if h.ndim != 3 or h.shape[1] != h.shape[2]:
-        raise ValueError(f"expected a (K, n, n) node-block stack, got shape {h.shape}")
-    return h
+def _require_finite(*arrays):
+    # count_nonzero is cheaper than .all() or a logical_and reduce here
+    if not all(np.count_nonzero(np.isfinite(a)) == a.size for a in arrays):
+        raise DegenerateStep("cogradient, curvature table or node block not finite")
 
 
 def _node_rows(cograd_conj, blocks):
@@ -288,8 +279,8 @@ def _node_rows(cograd_conj, blocks):
     return v.reshape(k, n, 1)
 
 
-def newton_update(a, g, cograd_conj):
-    """Solve the coupled Newton system for the weight step, on node blocks.
+def newton_update(curv, cplus, x, cograd_conj):
+    """Solve the coupled Newton system for layer p's weight step, on node blocks.
 
     Eliminating the conjugate half of the stacked (w, wbar) system gives
     a Schur complement in the w block:
@@ -306,14 +297,23 @@ def newton_update(a, g, cograd_conj):
     on 4 samples caps it at rank 3 of 8) and the full solve would reject
     every step; the diagonal blocks stay well conditioned.
 
-    `a` and `g` are the (K, n, n) node-block stacks of H_ww and H_wbar_w
-    that node_blocks builds, one block per node; all nodes are solved in
-    one stacked elimination.  Raises ValueError for any other shape and
-    SingularMatrix if any block solve breaks down.
+    `curv` and `cplus` are layer p's tables as layer_step returns them
+    and `x` = trace.values[p-1] its input; the update builds both node
+    block stacks from them and solves all nodes in one stacked
+    elimination.  Raises DegenerateStep if the cogradient, a table or a
+    block is not finite, ValueError if the cogradient does not have one
+    entry per weight, and SingularMatrix if any block solve breaks down.
     """
-    a, g = _stack(a), _stack(g)
-    if g.shape != a.shape:
-        raise ValueError(f"H_wbar_w stack of shape {g.shape} for an H_ww stack of shape {a.shape}")
+    xt = x.T.copy()
+    xct = np.conj(xt)
+    a, g = _node_blocks(curv, xct, xt), _node_blocks(cplus, xct, xct)
+    _require_finite(cograd_conj, curv, cplus, a, g)
+    return _newton_solve(a, g, cograd_conj)
+
+
+def _newton_solve(a, g, cograd_conj):
+    """newton_update's solve on the (K, n, n) node-block stacks a of H_ww
+    and g of H_wbar_w."""
     v = _node_rows(cograd_conj, a)
     sol = solve(np.conj(a), np.concatenate([np.conj(g), np.conj(v)], axis=2))
     t, u = sol[:, :, :-1], sol[:, :, -1:]
@@ -321,10 +321,19 @@ def newton_update(a, g, cograd_conj):
     return solve(schur, g @ u - v).ravel()
 
 
-def pseudo_newton_update(a, cograd_conj):
+def pseudo_newton_update(curv, cplus, x, cograd_conj):
     """Newton step with the conjugate coupling dropped: H_ww dw = -(dE/dw)*.
 
-    Solved on the same (K, n, n) node-block stack of H_ww as newton_update.
+    Takes the same inputs and raises the same errors as newton_update,
+    and builds only the H_ww node blocks, since its solve never reads
+    H_wbar_w; `cplus` is checked for finiteness all the same.
     """
-    a = _stack(a)
+    xt = x.T.copy()
+    a = _node_blocks(curv, np.conj(xt), xt)
+    _require_finite(cograd_conj, curv, cplus, a)
+    return _pseudo_newton_solve(a, cograd_conj)
+
+
+def _pseudo_newton_solve(a, cograd_conj):
+    """pseudo_newton_update's solve on the (K, n, n) node-block stack a of H_ww."""
     return solve(a, -_node_rows(cograd_conj, a)).ravel()

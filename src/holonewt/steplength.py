@@ -17,7 +17,10 @@ MODES = ("one_step_newton", "constant")
 
 
 class DegenerateStep(Exception):
-    """One-step denominator not finite, or too close to zero to divide by."""
+    """A Newton-type step that cannot be taken: the cogradient, a curvature
+    table or a node block not finite (newton.newton_update and
+    pseudo_newton_update), or the one-step denominator not finite or too
+    close to zero to divide by (mu_from_denominator)."""
 
 
 @dataclass(frozen=True)

@@ -18,13 +18,12 @@ the precedence.  After each forward pass it checks E:
   success         E fell below the error target
   blow_up         E exceeded the blow-up threshold
   local_minimum   the iteration budget ran out; `stalled` records whether
-                  the last two errors differed by at most the stall
-                  tolerance
+                  the last two errors differed by at most STALL_TOLERANCE
 Otherwise it sweeps the layers, and the sweep can end the trial as:
   singular_matrix a Newton or pseudo-Newton solve hit a singular system
-  non_finite      a cogradient, curvature table or node block was not
-                  finite, or a one-step steplength denominator was not
-                  finite or (almost) zero
+  non_finite      DegenerateStep: the update met a cogradient or curvature
+                  quantity that was not finite, or a one-step steplength
+                  denominator was not finite or (almost) zero
 """
 
 import csv
@@ -42,10 +41,8 @@ from .network import error_from_trace, forward, init_weights
 from .newton import (
     layer_step,
     newton_update,
-    node_blocks,
     one_step_denominator,
     pseudo_newton_update,
-    sample_last,
     table_buffers,
 )
 from .steplength import DegenerateStep, StepConfig, apply_update, mu_from_denominator
@@ -72,9 +69,9 @@ DEFAULT_MAX_ITERS = {"gradient_descent": 50000, "newton": 5000, "pseudo_newton":
 # trials handed to a worker process at a time
 TRIAL_CHUNK = 8
 
-
-class _NonFiniteSweep(Exception):
-    """Internal: a cogradient or Hessian stopped being finite mid-sweep."""
+# a run that ends on its budget is `stalled` when its last two errors
+# differ by at most this much
+STALL_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -84,7 +81,6 @@ class TrainConfig:
     error_target: float = 0.001
     max_iters: Optional[int] = None
     blowup_threshold: float = 1e10
-    stall_tolerance: float = 1e-10
     init_range: float = 1.0
 
     def __post_init__(self):
@@ -102,9 +98,6 @@ class TrainConfig:
             raise ValueError(f"max_iters must be an integer of at least 1, got {self.max_iters!r}")
         if not self.blowup_threshold > 0:
             raise ValueError("blow-up threshold must be positive")
-        # NaN would pass a `< 0` test and leave `stalled` always False
-        if not self.stall_tolerance >= 0:
-            raise ValueError(f"stall_tolerance must be non-negative, got {self.stall_tolerance!r}")
         # the draws span (-r, r), whose width 2r must be finite too
         if not (self.init_range > 0 and np.isfinite(2 * self.init_range)):
             raise ValueError(f"init range must be positive with a finite 2r, got {self.init_range}")
@@ -133,16 +126,12 @@ class TrialStats:
     failure_counts: dict
 
 
-def _finite(*arrays):
-    # count_nonzero is cheaper than .all() or a logical_and reduce here
-    return all(np.count_nonzero(np.isfinite(a)) == a.size for a in arrays)
-
-
 def _sweep(topology, weights, trace, targets, config, buffers):
     # layer_step carries the deltas alone for gradient descent (no
     # buffers), and for the Newton-type methods the (delta, curvature,
     # cplus) triple, written into the trial's table buffers
     step = config.step
+    update = newton_update if config.method == "newton" else pseudo_newton_update
     upper = None
     for p in range(topology.n_layers, 0, -1):
         upper = layer_step(topology, trace, targets, p, upper, weights, buffers)
@@ -151,19 +140,10 @@ def _sweep(topology, weights, trace, targets, config, buffers):
             continue
         delta, curv, cplus = upper
         cograd = cogradient_conj(delta, trace, p)
-        # pseudo-Newton never reads the H_wbar_w stack, so it is not built
-        xt, xct = sample_last(trace.values[p - 1])
-        blocks = [node_blocks(curv, xct, xt)]
-        if config.method == "newton":
-            blocks.append(node_blocks(cplus, xct, xct))
-        if not _finite(cograd, curv, cplus, *blocks):
-            raise _NonFiniteSweep
-        if config.method == "newton":
-            dw = newton_update(*blocks, cograd)
-        else:
-            dw = pseudo_newton_update(*blocks, cograd)
+        x = trace.values[p - 1]
+        dw = update(curv, cplus, x, cograd)
         if step.mode == "one_step_newton":
-            mu = mu_from_denominator(cograd, dw, one_step_denominator(curv, cplus, trace, p, dw))
+            mu = mu_from_denominator(cograd, dw, one_step_denominator(curv, cplus, x, dw))
         else:
             mu = step.constant_mu
         apply_update(weights, p, dw, mu, step.omega)
@@ -198,13 +178,13 @@ def train(topology, dataset, config, seed, keep_history=True):
             elif iterations >= budget:
                 outcome = "local_minimum"
                 # the budget is at least 1, so there are two errors to compare
-                stalled = abs(history[-1] - history[-2]) <= config.stall_tolerance
+                stalled = abs(history[-1] - history[-2]) <= STALL_TOLERANCE
             else:
                 try:
                     _sweep(topology, weights, trace, dataset.targets, config, buffers)
                 except SingularMatrix:
                     outcome = "singular_matrix"
-                except (DegenerateStep, _NonFiniteSweep):
+                except DegenerateStep:
                     outcome = "non_finite"
                 else:
                     iterations += 1

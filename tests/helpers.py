@@ -11,7 +11,7 @@ import json
 import numpy as np
 
 from holonewt import Dataset, NetworkTopology, forward, training
-from holonewt.fdcheck import fd_real_hessian
+from holonewt.fdcheck import _LONGC, fd_real_hessian
 from holonewt.linalg import PIVOT_RTOL, SingularMatrix
 from holonewt.steplength import StepConfig
 
@@ -83,11 +83,10 @@ def loop_layer_error_fn(topology, weights, dataset, p):
     E of layer p's flat weight vector with every other layer frozen, the
     whole network re-run in extended precision for each probe.
     """
-    longc = getattr(np, "complex256", np.complex128)
     shape = (topology.widths[p], topology.widths[p - 1])
-    frozen = [np.asarray(w, dtype=longc) for w in weights]
-    inputs = np.asarray(dataset.inputs, dtype=longc)
-    targets = np.asarray(dataset.targets, dtype=longc)
+    frozen = [np.asarray(w, dtype=_LONGC) for w in weights]
+    inputs = np.asarray(dataset.inputs, dtype=_LONGC)
+    targets = np.asarray(dataset.targets, dtype=_LONGC)
 
     def e_of(flat):
         frozen[p - 1] = flat.reshape(shape)

@@ -119,6 +119,38 @@ class TestExitCodes:
         assert "holonewt: topology widths should be integers" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "trials", "verify"])
+    def test_too_many_weights_exits_1_at_once(self, tmp_path, command):
+        """A net past the weight cap is refused before a weight is drawn,
+        where drawing its 2 * 10**12 values would not end."""
+        cfg = write_config(tmp_path, topology=[2, 10**12, 1])
+        out_args = [] if command == "verify" else ["--out", str(tmp_path / "out")]
+        out = run_cli(command, "--config", str(cfg), *out_args, timeout=60)
+        assert out.returncode == 1
+        assert out.stderr == (
+            "holonewt: topology (2, 1000000000000, 1) has 3000000000000 weights,"
+            " above the cap of 1000000\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "trials"])
+    def test_out_of_memory_exits_1(self, tmp_path, capsys, monkeypatch, command):
+        """A run whose arrays do not fit ends with exit 1 and numpy's
+        message, not a traceback."""
+        from holonewt import training
+
+        message = "Unable to allocate 549. MiB for an array with shape (4, 3000, 3000)"
+
+        def no_room(topology, n_samples):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(training, "table_buffers", no_room)
+        cfg = write_config(tmp_path)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        out = capsys.readouterr()
+        assert out.err == f"holonewt: out of memory: {message}\n"
+        assert out.out == ""
+
     @pytest.mark.parametrize("activations", [[["sigmoid"], "sigmoid"], [5, "sigmoid"]])
     def test_activation_that_is_not_a_name_exits_1(self, tmp_path, activations):
         """The message names the offending value, not a bare type error."""
@@ -405,17 +437,19 @@ print("numpy.random" in sys.modules)
         assert done.stdout.splitlines()[-1] == "False"
 
 
-def run_python(*args):
+def run_python(*args, timeout=None):
     """Run the interpreter on the imported package's source."""
     src = str(Path(holonewt.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
+    )
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     """Run ``python -m holonewt.cli`` on the imported package's source."""
-    return run_python("-m", "holonewt.cli", *args)
+    return run_python("-m", "holonewt.cli", *args, timeout=timeout)
 
 
 class TestVerifyCommand:
@@ -446,7 +480,7 @@ class TestVerifyCommand:
         monkeypatch.setitem(
             ACTIVATIONS,
             "taylor3",
-            Activation(orig.name, orig.f, orig.d1, lambda z, g=None: orig.d2(z, g) + 0.05),
+            Activation(orig.name, orig.f, orig.d1, lambda z, g: orig.d2(z, g) + 0.05),
         )
         rc = main(["verify", "--config", str(self.config(tmp_path)), "--seed", "0"])
         assert rc == 2
@@ -629,7 +663,7 @@ class TestOutOfRangeNumbers:
             ("train", {"init_range": float("inf")}),
             ("verify", {"init_range": float("inf")}),
             ("train", {"error_target": float("inf")}),
-            ("train", {"stall_tolerance": float("nan")}),
+            ("train", {"blowup_threshold": float("nan")}),
             ("verify", {"init_range": float("-inf")}),
             ("train", {"init_range": 10**400}),
         ],

@@ -17,7 +17,7 @@ from holonewt import (
     load_dataset,
     save_checkpoint,
 )
-from holonewt.network import error_from_trace, uniform_draws
+from holonewt.network import MAX_WEIGHTS, error_from_trace, uniform_draws
 
 from conftest import XOR_INPUTS, XOR_TARGETS
 from helpers import complex_uniform, save_dataset
@@ -337,6 +337,17 @@ def test_topology_rejects_widths_that_are_not_integers(width):
     """3.7 is not truncated to 3, true is not 1 and "3" is not 3."""
     with pytest.raises(ValueError, match="topology widths should be integers"):
         NetworkTopology((2, width, 1), ("identity", "identity"))
+
+
+def test_topology_caps_the_weight_count():
+    """MAX_WEIGHTS weights are admitted and one more is refused, with the
+    count and the cap named; the check is arithmetic on the widths, so a
+    10**12-wide layer is refused at once."""
+    assert NetworkTopology((1, MAX_WEIGHTS), ("identity",)).layer_size(1) == MAX_WEIGHTS
+    with pytest.raises(ValueError, match=f"has {MAX_WEIGHTS + 1} weights, above the cap of {MAX_WEIGHTS}$"):
+        NetworkTopology((1, MAX_WEIGHTS + 1), ("identity",))
+    with pytest.raises(ValueError, match="has 3000000000000 weights"):
+        NetworkTopology((2, 10**12, 1), ("identity", "identity"))
 
 
 def test_topology_takes_numpy_integer_widths_as_ints(tmp_path):

@@ -8,16 +8,18 @@ from holonewt.fdcheck import fd_hessians, real_quadratic_form, relative_error
 from holonewt.gradient import cogradient_conj
 from holonewt.linalg import SingularMatrix
 from holonewt.newton import (
+    _newton_solve,
+    _node_blocks,
+    _pseudo_newton_solve,
     backward_tables,
     hessian_pair,
     layer_step,
     newton_update,
-    node_blocks,
     one_step_denominator,
     pseudo_newton_update,
-    sample_last,
     table_buffers,
 )
+from holonewt.steplength import DegenerateStep
 
 from helpers import (
     complex_uniform,
@@ -33,6 +35,14 @@ def single_linear_neuron_tables():
     w = [np.zeros((1, 1), dtype=complex)]
     ds = Dataset(np.array([[1.0]]), np.array([[1.0]]))
     return t, w, ds, backward_tables(t, w, ds)
+
+
+def update_inputs(tables, p):
+    """Layer p's (curvature, cplus, input, conjugate cogradient), as a
+    training sweep hands them to an update."""
+    trace = tables.trace
+    cog = cogradient_conj(tables.deltas[p - 1], trace, p)
+    return tables.curvature[p - 1], tables.cplus[p - 1], trace.values[p - 1], cog
 
 
 def output_step(topology, trace, targets=None):
@@ -222,19 +232,20 @@ class TestHessianAssembly:
                 assert np.linalg.norm(h_wbar_w - fd_wbar_w) / scale <= 1e-5
 
 
+UPDATES = (newton_update, pseudo_newton_update)
+
+
 class TestUpdates:
     def test_single_linear_neuron_newton(self):
         _, _, _, tables = single_linear_neuron_tables()
-        h_ww, h_wbar_w = (h[None] for h in hessian_pair(tables, 1))
-        cog = cogradient_conj(tables.deltas[0], tables.trace, 1)
-        np.testing.assert_array_equal(newton_update(h_ww, h_wbar_w, cog), [1.0])
-        np.testing.assert_array_equal(pseudo_newton_update(h_ww, cog), [1.0])
+        for update in UPDATES:
+            np.testing.assert_array_equal(update(*update_inputs(tables, 1)), [1.0])
 
     def test_zero_cogradient_zero_update(self):
-        h = np.eye(3, dtype=complex)[None]
-        np.testing.assert_array_equal(
-            pseudo_newton_update(h, np.zeros(3, dtype=complex)), np.zeros(3)
-        )
+        t, w, ds = random_instance((3, 2), "taylor3", 29)
+        curv, cplus, x, cog = update_inputs(backward_tables(t, w, ds), 1)
+        for update in UPDATES:
+            np.testing.assert_array_equal(update(curv, cplus, x, np.zeros_like(cog)), np.zeros(6))
 
     def test_newton_reduces_to_pseudo_when_uncoupled(self):
         """H_wbar_w = 0 degenerates the coupled formula exactly."""
@@ -243,17 +254,12 @@ class TestUpdates:
         a = (a @ a.conj().T + 4 * np.eye(4))[None]
         v = complex_uniform(rng, (4,))
         zero = np.zeros_like(a)
-        np.testing.assert_array_equal(
-            newton_update(a, zero, v), pseudo_newton_update(a, v)
-        )
+        np.testing.assert_array_equal(_newton_solve(a, zero, v), _pseudo_newton_solve(a, v))
 
     def test_newton_equals_pseudo_on_identity_network(self):
         t, w, ds = random_instance((3, 2), "identity", 31, n_samples=4)
-        tables = backward_tables(t, w, ds)
-        nodes = t.widths[1]
-        a, g = (node_diagonal(h, nodes) for h in hessian_pair(tables, 1))
-        cog = cogradient_conj(tables.deltas[0], tables.trace, 1)
-        np.testing.assert_array_equal(newton_update(a, g, cog), pseudo_newton_update(a, cog))
+        inputs = update_inputs(backward_tables(t, w, ds), 1)
+        np.testing.assert_array_equal(newton_update(*inputs), pseudo_newton_update(*inputs))
 
     def test_per_node_solve_equals_full_solve_when_block_diagonal(self):
         """On an exactly block-diagonal system the per-node solve and a
@@ -261,11 +267,10 @@ class TestUpdates:
         case that matters."""
         t, w, ds = random_instance((2, 3, 2), "taylor3", 32, n_samples=5)
         tables = backward_tables(t, w, ds)
-        h_ww, h_wbar_w = hessian_pair(tables, 2)
-        cog = cogradient_conj(tables.deltas[1], tables.trace, 2)
-        blockwise = pseudo_newton_update(node_diagonal(h_ww, 2), cog)
-        dense = np.linalg.solve(h_ww, -cog)
-        np.testing.assert_allclose(blockwise, dense, rtol=1e-12, atol=1e-15)
+        h_ww, _ = hessian_pair(tables, 2)
+        inputs = update_inputs(tables, 2)
+        dense = np.linalg.solve(h_ww, -inputs[-1])
+        np.testing.assert_allclose(pseudo_newton_update(*inputs), dense, rtol=1e-12, atol=1e-15)
 
     def test_newton_solves_the_coupled_system(self):
         """The returned dw satisfies the stacked optimality conditions
@@ -273,51 +278,54 @@ class TestUpdates:
         t, w, ds = random_instance((2, 3, 2), "sigmoid", 33, n_samples=5)
         tables = backward_tables(t, w, ds)
         h_ww, h_wbar_w = hessian_pair(tables, 2)
-        cog = cogradient_conj(tables.deltas[1], tables.trace, 2)
-        dw = newton_update(node_diagonal(h_ww, 2), node_diagonal(h_wbar_w, 2), cog)
+        inputs = update_inputs(tables, 2)
+        cog = inputs[-1]
+        dw = newton_update(*inputs)
         residual = h_ww @ dw + h_wbar_w @ np.conj(dw) + cog
         assert np.linalg.norm(residual) <= 1e-10 * max(np.linalg.norm(cog), 1.0)
 
     def test_singular_block_raises(self):
-        h = np.zeros((1, 2, 2), dtype=complex)
-        h[0, 0, 0] = 1.0
-        with pytest.raises(SingularMatrix):
-            pseudo_newton_update(h, np.array([1.0, 1.0], dtype=complex))
-        with pytest.raises(SingularMatrix):
-            newton_update(h, np.zeros_like(h), np.ones(2, dtype=complex))
+        curv, cplus = np.ones((1, 1), dtype=complex), np.zeros((1, 1), dtype=complex)
+        # one sample whose second input is zero: the node's H_ww block is
+        # [[1, 0], [0, 0]]
+        x = np.array([[1.0, 0.0]], dtype=complex)
+        for update in UPDATES:
+            with pytest.raises(SingularMatrix):
+                update(curv, cplus, x, np.ones(2, dtype=complex))
 
     def test_stack_and_cogradient_shapes_are_checked(self):
-        stack = np.stack([np.eye(2, dtype=complex)] * 2)
-        v = np.ones(5, dtype=complex)
-        with pytest.raises(ValueError, match="cogradient"):
-            pseudo_newton_update(stack, v)
-        with pytest.raises(ValueError, match="node blocks"):
-            newton_update(stack, np.zeros_like(stack), v[:3])
-        with pytest.raises(ValueError, match="H_wbar_w stack"):
-            newton_update(stack, np.zeros((2, 3, 3), dtype=complex), v[:4])
-
-    @pytest.mark.parametrize("shape", [(4, 4), (2, 2, 3), (4,)])
-    def test_anything_but_a_node_block_stack_is_rejected(self, shape):
-        """A full layer matrix, a non-square stack or a vector is a shape error
-        that names the expected stack."""
-        h = np.ones(shape, dtype=complex)
-        v = np.ones(4, dtype=complex)
-        stack = np.stack([np.eye(2, dtype=complex)] * 2)
-        with pytest.raises(ValueError, match=r"expected a \(K, n, n\) node-block stack"):
-            pseudo_newton_update(h, v)
-        with pytest.raises(ValueError, match=r"expected a \(K, n, n\) node-block stack"):
-            newton_update(h, stack, v)
-        with pytest.raises(ValueError, match=r"expected a \(K, n, n\) node-block stack"):
-            newton_update(stack, h, v)
+        """The cogradient needs one entry per weight of the layer's
+        node-block stack."""
+        t, w, ds = random_instance((2, 3), "taylor3", 34)
+        curv, cplus, x, cog = update_inputs(backward_tables(t, w, ds), 1)
+        for update in UPDATES:
+            with pytest.raises(ValueError, match=r"cogradient of shape \(5,\) for 3 node blocks"):
+                update(curv, cplus, x, cog[:5])
 
     def test_singular_block_is_named(self):
         a = np.stack([np.eye(2, dtype=complex)] * 3)
         a[2] = [[1.0, 2.0], [2.0, 4.0]]
         v = np.ones(6, dtype=complex)
         with pytest.raises(SingularMatrix, match="^block 2: pivot"):
-            pseudo_newton_update(a, v)
+            _pseudo_newton_solve(a, v)
         with pytest.raises(SingularMatrix, match="^block 2: pivot"):
-            newton_update(a, np.zeros_like(a), v)
+            _newton_solve(a, np.zeros_like(a), v)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["curvature", "cplus", "cogradient"])
+    def test_non_finite_input_is_a_degenerate_step(self, where, bad):
+        """A NaN or infinite entry in either table or in the cogradient
+        makes both updates raise DegenerateStep before any solve; on the
+        curvature table's diagonal it would otherwise reach the solve as
+        a singular block."""
+        t, w, ds = random_instance((2, 3, 2), "sigmoid", 35)
+        inputs = list(update_inputs(backward_tables(t, w, ds), 1))
+        k = ("curvature", "cplus", None, "cogradient").index(where)
+        inputs[k] = inputs[k].copy()
+        inputs[k].flat[0] = bad
+        for update in UPDATES:
+            with np.errstate(all="ignore"), pytest.raises(DegenerateStep, match="not finite"):
+                update(*inputs)
 
 
 @settings(max_examples=40, deadline=None)
@@ -338,27 +346,30 @@ def test_matrix_free_curvature_matches_assembly(widths, act, n_samples, seed):
         curv, cplus = tables.curvature[p - 1], tables.cplus[p - 1]
         h_ww, h_wbar_w = hessian_pair(tables, p)
         k = t.widths[p]
-        xt, xct = sample_last(tables.trace.values[p - 1])
-        a = node_blocks(curv, xct, xt)
-        g = node_blocks(cplus, xct, xct)
+        x = tables.trace.values[p - 1]
+        xt = x.T.copy()
+        xct = np.conj(xt)
+        a = _node_blocks(curv, xct, xt)
+        g = _node_blocks(cplus, xct, xct)
         scale = max(np.abs(h_ww).max(), np.abs(h_wbar_w).max(), 1e-300)
         assert np.abs(a - node_diagonal(h_ww, k)).max() <= 1e-13 * scale
         assert np.abs(g - node_diagonal(h_wbar_w, k)).max() <= 1e-13 * scale
 
         dw = complex_uniform(rng, (t.layer_size(p),))
-        denominator = one_step_denominator(curv, cplus, tables.trace, p, dw)
+        denominator = one_step_denominator(curv, cplus, x, dw)
         reference = real_quadratic_form(h_ww, h_wbar_w, dw) / 2
         size = abs(np.vdot(dw, h_ww @ dw)) + abs(np.vdot(dw, h_wbar_w @ np.conj(dw)))
         assert abs(denominator - reference) <= 1e-12 * max(size, 1e-300)
 
-        # training's step from its own stacks solves each node's coupled
-        # system as hessian_pair assembles it, wherever that is well posed
+        # training's step, which builds its own stacks, solves each node's
+        # coupled system as hessian_pair assembles it, wherever that is
+        # well posed
         cog = cogradient_conj(tables.deltas[p - 1], tables.trace, p)
         ref_a, ref_g = node_diagonal(h_ww, k), node_diagonal(h_wbar_w, k)
         coupled = np.block([[ref_a, ref_g], [np.conj(ref_g), np.conj(ref_a)]])
         if max(np.linalg.cond(ref_a).max(), np.linalg.cond(coupled).max()) > 1e4:
             continue
-        dw = newton_update(a, g, cog).reshape(k, -1, 1)
+        dw = newton_update(curv, cplus, x, cog).reshape(k, -1, 1)
         v = cog.reshape(k, -1, 1)
         residual = ref_a @ dw + ref_g @ np.conj(dw) + v
         bound = 1e-10 * (np.abs(coupled).max() * np.abs(dw).max() + np.abs(v).max())
@@ -395,11 +406,13 @@ def test_sample_last_node_blocks_keep_sample_first_bits(n, k, k_in, full, specia
     if special is not None:
         table[rng.random(table.shape) < 0.2] = special
         x[rng.random(x.shape) < 0.1] = special
-    xt, xct = sample_last(x)
+    # the operands as the updates hand them over: contiguous, sample last
+    xt = x.T.copy()
+    xct = np.conj(xt)
     with np.errstate(all="ignore"):
-        assert_same_bits(node_blocks(table, xct, xt), sample_first_node_blocks(table, x))
+        assert_same_bits(_node_blocks(table, xct, xt), sample_first_node_blocks(table, x))
         assert_same_bits(
-            node_blocks(table, xct, xct), sample_first_node_blocks(table, x, conj_right=True)
+            _node_blocks(table, xct, xct), sample_first_node_blocks(table, x, conj_right=True)
         )
 
 

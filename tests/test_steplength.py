@@ -4,13 +4,7 @@ import pytest
 from holonewt import Dataset, NetworkTopology, error
 from holonewt.fdcheck import real_quadratic_form
 from holonewt.gradient import cogradient_conj
-from holonewt.newton import (
-    backward_tables,
-    newton_update,
-    node_blocks,
-    one_step_denominator,
-    sample_last,
-)
+from holonewt.newton import backward_tables, newton_update, one_step_denominator
 from holonewt.steplength import DegenerateStep, StepConfig, apply_update, mu_from_denominator
 from holonewt.training import TrainConfig, train
 
@@ -160,11 +154,10 @@ def test_quadratic_one_step_exactness():
         ds = Dataset(x, x @ w_true.T)
         w = [complex_uniform(rng, (c, m))]
         tables = backward_tables(t, w, ds)
-        curv, cplus, trace = tables.curvature[0], tables.cplus[0], tables.trace
-        xt, xct = sample_last(trace.values[0])
-        cog = cogradient_conj(tables.deltas[0], trace, 1)
-        dw = newton_update(node_blocks(curv, xct, xt), node_blocks(cplus, xct, xct), cog)
-        mu = mu_from_denominator(cog, dw, one_step_denominator(curv, cplus, trace, 1, dw))
+        curv, cplus, x = tables.curvature[0], tables.cplus[0], tables.trace.values[0]
+        cog = cogradient_conj(tables.deltas[0], tables.trace, 1)
+        dw = newton_update(curv, cplus, x, cog)
+        mu = mu_from_denominator(cog, dw, one_step_denominator(curv, cplus, x, dw))
         apply_update(w, 1, dw, mu, omega=1.0)
         assert error(t, w, ds) <= 1e-18
 
