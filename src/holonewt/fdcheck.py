@@ -23,7 +23,8 @@ The steps are fixed: 1e-5 for the cogradient's central differences and
 
 These estimates are deliberately independent of the analytic
 backpropagation modules so they can serve as a cross-check oracle, both
-in the test suite and behind the command line `verify` command.
+in the test suite and behind the command line `verify` command, whose
+verdict verify_report gives against the fixed TOLERANCES.
 """
 
 import numpy as np
@@ -43,7 +44,15 @@ _STENCILS_PER_CHUNK = 16
 _FIRST_STEP = 1e-5
 _SECOND_STEP = 1e-4
 
+# the largest error of each kind a report within tolerance may hold
+TOLERANCES = {"cogradient_tol": 1e-5, "hessian_tol": 1e-5, "quadratic_form_tol": 1e-4}
+# the most four-probe Hessian stencils a report may take, (2n)(2n+1)/2
+# per layer of n weights: 8-32-32-8 takes 2,360,832
+MAX_STENCILS = 4_000_000
+
 __all__ = [
+    "MAX_STENCILS",
+    "TOLERANCES",
     "NonFiniteEvaluation",
     "fd_cogradient",
     "fd_hessians",
@@ -276,20 +285,29 @@ def verify_report(topology, weights, dataset):
 
     Returns a dict with per-layer relative errors for the cogradient and
     both Hessian blocks, plus the relative mismatch of the real-coordinate
-    quadratic form along a deterministic direction.  Hessian errors are
-    normalized by the larger of the two FD block norms so a structurally
-    zero block does not divide by its own noise.  Each layer's
-    real-coordinate FD Hessian is estimated once and serves both the
-    Hessian blocks and the quadratic form.
+    quadratic form along a deterministic direction, the largest of each
+    kind, the TOLERANCES and `within_tolerance`, true when no largest
+    error exceeds its tolerance.  Hessian errors are normalized by the
+    larger of the two FD block norms so a structurally zero block does
+    not divide by its own noise.  Each layer's real-coordinate FD Hessian
+    is estimated once and serves both the Hessian blocks and the
+    quadratic form.
 
-    Raises ValueError when the dataset's widths are not the net's, and
-    NonFiniteEvaluation when a probe's error is not finite, or, once a
-    layer's probes are all finite, when its analytic cogradient or either
-    analytic block is not.
+    Raises ValueError, before any table or probe, when the net needs more
+    than MAX_STENCILS Hessian stencils or the dataset's widths are not the
+    net's, and NonFiniteEvaluation when a probe's error is not finite, or,
+    once a layer's probes are all finite, when its analytic cogradient or
+    either analytic block is not.
     """
     from . import newton
     from .gradient import cogradient_conj
 
+    stencils = sum(n * (2 * n + 1) for n in map(topology.layer_size, range(1, topology.n_layers + 1)))
+    if stencils > MAX_STENCILS:
+        raise ValueError(
+            f"topology {topology.widths} needs {stencils} Hessian stencils to verify,"
+            f" above the cap of {MAX_STENCILS}"
+        )
     report = {"layers": []}
     deltas = newton.backward_tables(topology, weights, dataset)
     for p in range(1, topology.n_layers + 1):
@@ -319,4 +337,12 @@ def verify_report(topology, weights, dataset):
         })
     for key in ("cogradient_rel", "h_ww_rel", "h_wbar_w_rel", "quadratic_form_rel"):
         report[f"max_{key}"] = max(layer[key] for layer in report["layers"])
+    # an infinite or NaN error compares false, so it fails the report
+    report["tolerances"] = dict(TOLERANCES)
+    report["within_tolerance"] = (
+        report["max_cogradient_rel"] <= TOLERANCES["cogradient_tol"]
+        and report["max_h_ww_rel"] <= TOLERANCES["hessian_tol"]
+        and report["max_h_wbar_w_rel"] <= TOLERANCES["hessian_tol"]
+        and report["max_quadratic_form_rel"] <= TOLERANCES["quadratic_form_tol"]
+    )
     return report

@@ -75,7 +75,10 @@ class NetworkTopology:
                 f"got {len(self.activations)}"
             )
         for name in self.activations:
-            get_activation(name)
+            try:
+                get_activation(name)
+            except KeyError as exc:
+                raise ValueError(exc.args[0]) from None
 
     @property
     def n_layers(self):
@@ -315,10 +318,7 @@ def load_checkpoint(path):
     if not (isinstance(doc, dict) and {"widths", "activations", "layers"} <= set(doc)):
         raise ValueError("checkpoint must be an object with widths, activations and layers")
     widths, activations, layers = doc["widths"], doc["activations"], doc["layers"]
-    try:
-        topology = NetworkTopology(widths, activations)
-    except KeyError as exc:
-        raise ValueError(exc.args[0]) from None
+    topology = NetworkTopology(widths, activations)
     if not isinstance(layers, list) or len(layers) != topology.n_layers:
         raise ValueError(f"checkpoint needs {topology.n_layers} weight layers for widths {topology.widths}")
     weights = []

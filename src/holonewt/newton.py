@@ -308,12 +308,6 @@ def newton_update(curv, cplus, x, cograd_conj):
     xct = np.conj(xt)
     a, g = _node_blocks(curv, xct, xt), _node_blocks(cplus, xct, xct)
     _require_finite(cograd_conj, curv, cplus, a, g)
-    return _newton_solve(a, g, cograd_conj)
-
-
-def _newton_solve(a, g, cograd_conj):
-    """newton_update's solve on the (K, n, n) node-block stacks a of H_ww
-    and g of H_wbar_w."""
     v = _node_rows(cograd_conj, a)
     sol = solve(np.conj(a), np.concatenate([np.conj(g), np.conj(v)], axis=2))
     t, u = sol[:, :, :-1], sol[:, :, -1:]
@@ -331,9 +325,4 @@ def pseudo_newton_update(curv, cplus, x, cograd_conj):
     xt = x.T.copy()
     a = _node_blocks(curv, np.conj(xt), xt)
     _require_finite(cograd_conj, curv, cplus, a)
-    return _pseudo_newton_solve(a, cograd_conj)
-
-
-def _pseudo_newton_solve(a, cograd_conj):
-    """pseudo_newton_update's solve on the (K, n, n) node-block stack a of H_ww."""
     return solve(a, -_node_rows(cograd_conj, a)).ravel()

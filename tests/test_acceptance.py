@@ -24,6 +24,7 @@ from holonewt import (
     NetworkTopology,
     backward_tables,
     fd_hessians,
+    fdcheck,
     hessian_pair,
     run_trials,
     verify_report,
@@ -65,7 +66,8 @@ def xor_topology(act):
     return NetworkTopology((2, 4, 1), (act, act))
 
 
-def test_criterion_1_derivative_battery():
+def _criterion_1_battery(criterion):
+    """Criterion 1's 900 instances, checked under its bounds."""
     topologies = ((1, 1), (2, 3, 1), (2, 4, 1))
     acts = ("sigmoid", "taylor3", "identity")
     worst = {"cogradient": 0.0, "h_ww": 0.0, "h_wbar_w": 0.0}
@@ -88,13 +90,24 @@ def test_criterion_1_derivative_battery():
         and worst["h_wbar_w"] <= 1e-5
         and elapsed < 120.0
     )
-    assert _verdict(
-        1,
+    return _verdict(
+        criterion,
         ok,
         f"{count} instances: cogradient rel {worst['cogradient']:.2e} (tol 1e-6), "
         f"H_ww rel {worst['h_ww']:.2e}, H_wbar_w rel {worst['h_wbar_w']:.2e} "
         f"(tol 1e-5), {elapsed:.1f}s (limit 120s)",
     )
+
+
+def test_criterion_1_derivative_battery():
+    assert _criterion_1_battery(1)
+
+
+def test_criterion_1_bounds_hold_in_double_precision(monkeypatch):
+    """Where long double is plain double, the oracle probes in
+    complex128; criterion 1's bounds still hold there."""
+    monkeypatch.setattr(fdcheck, "_LONGC", np.complex128)
+    assert _criterion_1_battery("1 (oracle in complex128)")
 
 
 def test_criterion_2_structure_suite():

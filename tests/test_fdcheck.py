@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from holonewt import Dataset, NetworkTopology, error, forward, fdcheck
+from holonewt import Dataset, NetworkTopology, error, forward, fdcheck, newton
 from holonewt.activations import ACTIVATIONS, Activation
 from holonewt.fdcheck import (
     NonFiniteEvaluation,
@@ -267,6 +267,77 @@ def test_verify_report_structure_and_tolerances():
     assert report["max_h_ww_rel"] <= 1e-5
     assert report["max_h_wbar_w_rel"] <= 1e-5
     assert report["max_quadratic_form_rel"] <= 1e-4
+    assert report["tolerances"] == TOLERANCES
+    assert report["within_tolerance"] is True
+
+
+# verify's fixed tolerances, and each kind of error and the tolerance it
+# is held to
+TOLERANCES = {"cogradient_tol": 1e-5, "hessian_tol": 1e-5, "quadratic_form_tol": 1e-4}
+TOLERANCE_OF = {
+    "cogradient_rel": "cogradient_tol",
+    "h_ww_rel": "hessian_tol",
+    "h_wbar_w_rel": "hessian_tol",
+    "quadratic_form_rel": "quadratic_form_tol",
+}
+
+
+@pytest.mark.parametrize("above", [None, *TOLERANCE_OF])
+def test_verify_report_holds_each_error_to_its_tolerance(monkeypatch, above):
+    """An error at its tolerance passes, and one error just above its own
+    fails the report.  relative_error is called once per kind and layer,
+    in the report's order; the second layer's `above` error is raised."""
+    errors = iter([
+        TOLERANCES[tol] * (1.01 if (key, p) == (above, 2) else 1.0)
+        for p in (1, 2)
+        for key, tol in TOLERANCE_OF.items()
+    ])
+    monkeypatch.setattr(fdcheck, "relative_error", lambda *args, **kwargs: next(errors))
+    t, w, ds = random_instance((2, 2, 1), "taylor3", 3)
+    report = verify_report(t, w, ds)
+    for key, tol in TOLERANCE_OF.items():
+        assert report[f"max_{key}"] == TOLERANCES[tol] * (1.01 if key == above else 1.0)
+    assert report["within_tolerance"] is (above is None)
+
+
+def test_verify_report_refuses_too_many_stencils_before_any_table(monkeypatch):
+    """The stencil cap is checked before the analytic tables or any probe."""
+    def refuse(*args):
+        raise AssertionError("verify_report computed tables before checking the cap")
+
+    monkeypatch.setattr(fdcheck, "MAX_STENCILS", 299)
+    monkeypatch.setattr(newton, "backward_tables", refuse)
+    # layers of 12 and 6 weights: 12 * 25 + 6 * 13 = 378 stencils
+    t, w, ds = random_instance((2, 6, 1), "taylor3", 0)
+    with pytest.raises(ValueError) as info:
+        verify_report(t, w, ds)
+    assert str(info.value) == (
+        "topology (2, 6, 1) needs 378 Hessian stencils to verify, above the cap of 299"
+    )
+
+
+def test_verify_report_admits_8_32_32_8(monkeypatch):
+    """The largest net in the tests, demos and bench, 2,360,832 stencils,
+    is under the cap; the probes are stubbed, so only the analytic side
+    runs."""
+    calls = []
+
+    def zero_cogradient(topology, weights, dataset, p):
+        calls.append(p)
+        return np.zeros(topology.layer_size(p), dtype=complex)
+
+    def zero_hessian(topology, weights, dataset, p):
+        return np.zeros((2 * topology.layer_size(p),) * 2)
+
+    monkeypatch.setattr(fdcheck, "fd_cogradient", zero_cogradient)
+    monkeypatch.setattr(fdcheck, "fd_real_hessian", zero_hessian)
+    sizes = [8 * 32, 32 * 32, 32 * 8]
+    assert sum(n * (2 * n + 1) for n in sizes) == 2_360_832 <= fdcheck.MAX_STENCILS
+    t, w, ds = random_instance((8, 32, 32, 8), "taylor3", 0, n_samples=3)
+    report = verify_report(t, w, ds)
+    assert calls == [1, 2, 3]
+    assert [layer["layer"] for layer in report["layers"]] == [1, 2, 3]
+    assert report["within_tolerance"] is False
 
 
 def test_verify_report_estimates_each_layer_hessian_once(monkeypatch):
@@ -293,8 +364,12 @@ def test_verify_report_estimates_each_layer_hessian_once(monkeypatch):
             "h_wbar_w_rel": relative_error(h_wbar_w, fd_wbar_w, scale=h_scale),
             "quadratic_form_rel": relative_error(real_quadratic_form(h_ww, h_wbar_w, v), reference),
         })
-    for key in ("cogradient_rel", "h_ww_rel", "h_wbar_w_rel", "quadratic_form_rel"):
+    for key in TOLERANCE_OF:
         expected[f"max_{key}"] = max(layer[key] for layer in expected["layers"])
+    expected["tolerances"] = TOLERANCES
+    expected["within_tolerance"] = all(
+        expected[f"max_{key}"] <= TOLERANCES[tol] for key, tol in TOLERANCE_OF.items()
+    )
 
     layers = []
     real_hessian = fdcheck.fd_real_hessian

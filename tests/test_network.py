@@ -35,7 +35,7 @@ class TestTopology:
             NetworkTopology((2, 0), ("identity",))
         with pytest.raises(ValueError):
             NetworkTopology((2, 1), ("identity", "identity"))
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match=r"^unknown activation 'relu', expected one of \["):
             NetworkTopology((2, 1), ("relu",))
 
     def test_layer_size(self):

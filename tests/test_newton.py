@@ -8,9 +8,7 @@ from holonewt.fdcheck import fd_hessians, real_quadratic_form, relative_error
 from holonewt.gradient import cogradient_conj
 from holonewt.linalg import SingularMatrix
 from holonewt.newton import (
-    _newton_solve,
     _node_blocks,
-    _pseudo_newton_solve,
     backward_tables,
     hessian_pair,
     layer_step,
@@ -250,11 +248,13 @@ class TestUpdates:
     def test_newton_reduces_to_pseudo_when_uncoupled(self):
         """H_wbar_w = 0 degenerates the coupled formula exactly."""
         rng = np.random.default_rng(30)
-        a = complex_uniform(rng, (4, 4))
-        a = (a @ a.conj().T + 4 * np.eye(4))[None]
-        v = complex_uniform(rng, (4,))
-        zero = np.zeros_like(a)
-        np.testing.assert_array_equal(_newton_solve(a, zero, v), _pseudo_newton_solve(a, v))
+        x = complex_uniform(rng, (6, 4))
+        curv = rng.uniform(0.5, 1.5, (6, 2)).astype(complex)
+        cplus = np.zeros_like(curv)
+        v = complex_uniform(rng, (8,))
+        np.testing.assert_array_equal(
+            newton_update(curv, cplus, x, v), pseudo_newton_update(curv, cplus, x, v)
+        )
 
     def test_newton_equals_pseudo_on_identity_network(self):
         t, w, ds = random_instance((3, 2), "identity", 31, n_samples=4)
@@ -303,13 +303,14 @@ class TestUpdates:
                 update(curv, cplus, x, cog[:5])
 
     def test_singular_block_is_named(self):
-        a = np.stack([np.eye(2, dtype=complex)] * 3)
-        a[2] = [[1.0, 2.0], [2.0, 4.0]]
+        # with x = I, node j's block is diag(curvature[:, j]) / 2, so the
+        # third node's block is rank 1
+        curv = np.array([[1, 1, 1], [1, 1, 0]], dtype=complex)
+        x = np.eye(2, dtype=complex)
         v = np.ones(6, dtype=complex)
-        with pytest.raises(SingularMatrix, match="^block 2: pivot"):
-            _pseudo_newton_solve(a, v)
-        with pytest.raises(SingularMatrix, match="^block 2: pivot"):
-            _newton_solve(a, np.zeros_like(a), v)
+        for update in UPDATES:
+            with pytest.raises(SingularMatrix, match="^block 2: pivot"):
+                update(curv, np.zeros_like(curv), x, v)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("where", ["curvature", "cplus", "cogradient"])
