@@ -8,7 +8,8 @@ iteration should land at machine precision.
 The step is taken the way a training sweep takes it: the layer's tables,
 the coupled Newton update from those tables and the layer's input, and
 the one-step steplength from the same tables, without assembling H_ww or
-H_wbar_w.
+H_wbar_w.  The cogradient and the step keep the layer's (c, m) weight
+shape.
 """
 
 import numpy as np
@@ -16,8 +17,8 @@ import numpy as np
 from holonewt import Dataset, NetworkTopology, error, forward
 from holonewt.gradient import cogradient_conj
 from holonewt.network import init_weights
-from holonewt.newton import layer_step, newton_update, one_step_denominator, table_buffers
-from holonewt.steplength import apply_update, mu_from_denominator
+from holonewt.newton import layer_step, newton_update, one_step_mu, table_buffers
+from holonewt.steplength import apply_update
 
 rng = np.random.default_rng(0)
 
@@ -47,7 +48,7 @@ print(f"H_wbar_w vanishes for identity activations: max |cplus| = "
 
 x0 = trace.values[0]  # the layer's input
 dw = newton_update(curv, cplus, x0, cograd)
-mu = mu_from_denominator(cograd, dw, one_step_denominator(curv, cplus, x0, dw))
+mu = one_step_mu(curv, cplus, x0, cograd, dw)
 print(f"one-step steplength mu = {mu:.15f}")
 
 apply_update(weights, 1, dw, mu, omega=1.0)

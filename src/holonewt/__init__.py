@@ -26,8 +26,8 @@ from .network import (
     load_dataset,
     save_checkpoint,
 )
-from .newton import backward_tables, hessian_pair, newton_update, pseudo_newton_update
-from .steplength import DegenerateStep, StepConfig
+from .newton import DegenerateStep, backward_tables, hessian_pair, newton_update, pseudo_newton_update
+from .steplength import StepConfig
 from .training import (
     TrainConfig,
     TrialRecord,

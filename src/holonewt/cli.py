@@ -140,6 +140,11 @@ def load_config(path):
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    # a key the run would ignore is refused rather than silently dropped
+    if config.method == "gradient_descent" and "omega" in sl:
+        raise ConfigError("steplength key 'omega' has no effect: gradient descent steps by mu alone")
+    if step.mode == "one_step_newton" and "mu" in sl:
+        raise ConfigError("steplength key 'mu' has no effect: one_step_newton computes mu every step")
 
     return topology, dataset, config, doc
 

@@ -144,9 +144,9 @@ _COGRADIENT_PROBES = ("+h", "-h", "+ih", "-ih")
 
 
 def fd_cogradient(topology, weights, dataset, p):
-    """FD estimate of the conjugate cogradient (dE/dw^(p-1))*, flat.
+    """FD estimate of the conjugate cogradient (dE/dw^(p-1))*, in the weights' shape.
 
-    Weight k is probed at w_k + h, w_k - h, w_k + ih and w_k - ih, which
+    Flat weight k is probed at w_k + h, w_k - h, w_k + ih and w_k - ih, which
     give d/dx and d/dy and so d/dw = (d/dx - i d/dy)/2.
     """
     base = np.asarray(weights[p - 1], dtype=_LONGC)
@@ -167,7 +167,7 @@ def fd_cogradient(topology, weights, dataset, p):
     dfdx = (f[:, 0] - f[:, 1]) / (2.0 * h)
     dfdy = (f[:, 2] - f[:, 3]) / (2.0 * h)
     # E is real, so (dE/dw)* = dE/dwbar
-    return np.conj(0.5 * (dfdx - 1j * dfdy)).astype(complex)
+    return np.conj(0.5 * (dfdx - 1j * dfdy)).astype(complex).reshape(base.shape)
 
 
 def _wirtinger_hessians(h_rr):

@@ -274,7 +274,8 @@ def error(topology, weights, dataset):
 
 def _pairs(z):
     flat = np.asarray(z, dtype=complex).ravel()
-    return [[float(c.real), float(c.imag)] for c in flat]
+    # strict JSON: a component that is not finite is written as null
+    return [[v if math.isfinite(v) else None for v in (float(c.real), float(c.imag))] for c in flat]
 
 
 def save_checkpoint(path, topology, weights):
@@ -284,7 +285,7 @@ def save_checkpoint(path, topology, weights):
         "layers": [_pairs(w) for w in weights],
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        json.dump(doc, fh, allow_nan=False)
         fh.write("\n")
 
 

@@ -27,12 +27,12 @@ already updated there, and never assembles H_ww or H_wbar_w: an update
 takes a layer's tables and input, builds the per-node diagonal blocks
 straight from the table diagonals, raises DegenerateStep on anything
 not finite and solves all of the layer's nodes in one stacked
-elimination; one_step_denominator takes the steplength's quadratic forms
-from the same tables.  Pseudo-Newton builds only the H_ww stack, since
-its solve never reads H_wbar_w.  backward_tables runs the same step on
-fixed weights and keeps every layer's tables; hessian_pair assembles the
-full blocks from them, the reference that `verify` and the tests compare
-against.
+elimination, in the layer's (K_p, K_{p-1}) weight shape; one_step_mu
+takes the steplength from the same tables.  Pseudo-Newton builds only
+the H_ww stack, since its solve never reads H_wbar_w.  backward_tables
+runs the same step on fixed weights and keeps every layer's tables;
+hessian_pair assembles the full blocks from them, the reference that
+`verify` and the tests compare against.
 
 The Newton update solves the coupled system over (w, wbar); the
 pseudo-Newton update drops the H_wbar_w coupling and solves only with
@@ -59,24 +59,30 @@ samples in order, so the blocks keep the sample-first contraction's bits
 (a NaN entry stays NaN, though its payload may differ).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import solve
 from .network import forward
-from .steplength import DegenerateStep
 
 __all__ = [
+    "DegenerateStep",
     "table_buffers",
     "layer_step",
-    "one_step_denominator",
+    "one_step_mu",
     "BackwardTables",
     "backward_tables",
     "hessian_pair",
     "newton_update",
     "pseudo_newton_update",
 ]
+
+
+class DegenerateStep(Exception):
+    """A Newton-type step that cannot be taken: an update's input or node
+    block not finite, or a one-step denominator not finite or (almost) 0."""
 
 
 def _diagonal(table):
@@ -201,17 +207,28 @@ def _node_blocks(table, left, right):
     return blocks
 
 
-def one_step_denominator(curv, cplus, x, dw):
-    """Re{dw^H H_ww dw + dw^H H_wbar_w conj(dw)} from the tables alone.
+def one_step_mu(curv, cplus, x, cograd_conj, dw):
+    """Steplength minimizing the quadratic model of E along dw.
 
-    With u_t = dW x_t, the layer's step applied to sample t of its input
+        mu = -Re{(dE/dw) dw} / Re{dw^H H_ww dw + dw^H H_wbar_w conj(dw)}
+
+    `cograd_conj` = (dE/dw)* and `dw` have the layer's weight shape.
+    With u_t = dW x_t, the step applied to sample t of the layer's input
     x, the two quadratic forms are mean_t u_t^H C_t u_t and
     mean_t u_t^H T_t conj(u_t) for the curvature table C and the
-    conjugate-plus-residual table T.
+    conjugate-plus-residual table T.  Raises DegenerateStep when the
+    denominator is NaN, infinite or below 1e-300 in magnitude; a
+    negative or huge quotient is returned as-is.
     """
-    u = x @ dw.reshape(-1, x.shape[1]).T
+    u = x @ dw.T
     form = np.vdot(u, _apply(curv, u)) + np.vdot(u, _apply(cplus, np.conj(u)))
-    return float(np.real(form)) / x.shape[0]
+    denominator = float(np.real(form)) / x.shape[0]
+    numerator = -np.vdot(cograd_conj, dw).real
+    if not math.isfinite(denominator):
+        raise DegenerateStep(f"one-step denominator is {denominator!r}, not finite")
+    if abs(denominator) < 1e-300:
+        raise DegenerateStep(f"denominator {denominator!r}")
+    return float(numerator / denominator)
 
 
 @dataclass
@@ -264,19 +281,15 @@ def hessian_pair(tables, p):
     return _assemble(tables.curvature[p - 1], xc, x), _assemble(tables.cplus[p - 1], xc, xc)
 
 
-def _require_finite(*arrays):
+def _check_inputs(cograd_conj, blocks, *arrays):
+    """Raise DegenerateStep unless every array is finite, then ValueError
+    unless the cogradient has one row per block of the (K, n, n) stack."""
     # count_nonzero is cheaper than .all() or a logical_and reduce here
-    if not all(np.count_nonzero(np.isfinite(a)) == a.size for a in arrays):
+    if not all(np.count_nonzero(np.isfinite(a)) == a.size for a in (cograd_conj, blocks, *arrays)):
         raise DegenerateStep("cogradient, curvature table or node block not finite")
-
-
-def _node_rows(cograd_conj, blocks):
-    """The flat cogradient as one (K, n, 1) column per node block."""
-    v = np.asarray(cograd_conj)
     k, n, _ = blocks.shape
-    if v.shape != (k * n,):
-        raise ValueError(f"cogradient of shape {v.shape} for {k} node blocks of size {n}")
-    return v.reshape(k, n, 1)
+    if cograd_conj.shape != (k, n):
+        raise ValueError(f"cogradient of shape {cograd_conj.shape} for {k} node blocks of size {n}")
 
 
 def newton_update(curv, cplus, x, cograd_conj):
@@ -300,19 +313,22 @@ def newton_update(curv, cplus, x, cograd_conj):
     `curv` and `cplus` are layer p's tables as layer_step returns them
     and `x` = trace.values[p-1] its input; the update builds both node
     block stacks from them and solves all nodes in one stacked
-    elimination.  Raises DegenerateStep if the cogradient, a table or a
-    block is not finite, ValueError if the cogradient does not have one
-    entry per weight, and SingularMatrix if any block solve breaks down.
+    elimination.  The cogradient and the returned step, a C-contiguous
+    array, have the layer's (K_p, K_{p-1}) shape.  Raises DegenerateStep
+    if the cogradient, a table or a block is not finite, ValueError if
+    the cogradient has another shape, and SingularMatrix if any block
+    solve breaks down.
     """
     xt = x.T.copy()
     xct = np.conj(xt)
     a, g = _node_blocks(curv, xct, xt), _node_blocks(cplus, xct, xct)
-    _require_finite(cograd_conj, curv, cplus, a, g)
-    v = _node_rows(cograd_conj, a)
+    _check_inputs(cograd_conj, a, curv, cplus, g)
+    v = cograd_conj[:, :, None]
     sol = solve(np.conj(a), np.concatenate([np.conj(g), np.conj(v)], axis=2))
     t, u = sol[:, :, :-1], sol[:, :, -1:]
     schur = a - g @ t
-    return solve(schur, g @ u - v).ravel()
+    # a contiguous copy of the solve's strided column
+    return solve(schur, g @ u - v)[:, :, 0].copy()
 
 
 def pseudo_newton_update(curv, cplus, x, cograd_conj):
@@ -324,5 +340,5 @@ def pseudo_newton_update(curv, cplus, x, cograd_conj):
     """
     xt = x.T.copy()
     a = _node_blocks(curv, np.conj(xt), xt)
-    _require_finite(cograd_conj, curv, cplus, a)
-    return solve(a, -_node_rows(cograd_conj, a)).ravel()
+    _check_inputs(cograd_conj, a, curv, cplus)
+    return solve(a, -cograd_conj[:, :, None])[:, :, 0].copy()

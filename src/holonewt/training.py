@@ -39,13 +39,14 @@ from .gradient import cogradient_conj
 from .linalg import SingularMatrix
 from .network import error_from_trace, forward, init_weights
 from .newton import (
+    DegenerateStep,
     layer_step,
     newton_update,
-    one_step_denominator,
+    one_step_mu,
     pseudo_newton_update,
     table_buffers,
 )
-from .steplength import DegenerateStep, StepConfig, apply_update, mu_from_denominator
+from .steplength import StepConfig, apply_update
 
 __all__ = [
     "METHODS",
@@ -143,7 +144,7 @@ def _sweep(topology, weights, trace, targets, config, buffers):
         x = trace.values[p - 1]
         dw = update(curv, cplus, x, cograd)
         if step.mode == "one_step_newton":
-            mu = mu_from_denominator(cograd, dw, one_step_denominator(curv, cplus, x, dw))
+            mu = one_step_mu(curv, cplus, x, cograd, dw)
         else:
             mu = step.constant_mu
         apply_update(weights, p, dw, mu, step.omega)

@@ -100,7 +100,8 @@ def loop_layer_error_fn(topology, weights, dataset, p):
 
 
 def loop_fd_cogradient(topology, weights, dataset, p, h=1e-5):
-    """Reference conjugate cogradient: four probes per weight, one at a time."""
+    """Reference conjugate cogradient, in the layer's weight shape: four
+    probes per weight, one at a time."""
     e_of, base = loop_layer_error_fn(topology, weights, dataset, p)
     cols = []
     for k in range(base.size):
@@ -116,7 +117,7 @@ def loop_fd_cogradient(topology, weights, dataset, p, h=1e-5):
         dfdx = (f_px - f_mx) / (2.0 * h)
         dfdy = (f_py - f_my) / (2.0 * h)
         cols.append(0.5 * (dfdx - 1j * dfdy))
-    return np.conj(np.array(cols)).astype(complex)
+    return np.conj(np.array(cols)).astype(complex).reshape(weights[p - 1].shape)
 
 
 def loop_fd_real_hessian(topology, weights, dataset, p, h=1e-4):

@@ -103,6 +103,31 @@ class TestConfigValidation:
             with pytest.raises(ConfigError, match=f"unknown {section} keys"):
                 load_config(path)
 
+    @pytest.mark.parametrize(
+        "method, steplength, key",
+        [
+            ("gradient_descent", {"mode": "constant", "mu": 1.0, "omega": 0.5}, "omega"),
+            ("pseudo_newton", {"mode": "one_step_newton", "mu": 7.0}, "mu"),
+            ("newton", {"mu": 1.0}, "mu"),
+        ],
+    )
+    def test_steplength_key_without_effect_is_refused(self, tmp_path, method, steplength, key):
+        """omega under gradient descent and mu under one_step_newton (the
+        default mode) change nothing, so a config that sets them is refused,
+        naming the key."""
+        path = write_config(tmp_path, method=method, steplength=steplength)
+        with pytest.raises(ConfigError, match=f"steplength key '{key}' has no effect: "):
+            load_config(path)
+
+    @pytest.mark.parametrize("method", ["newton", "pseudo_newton"])
+    def test_constant_newton_type_mode_reads_omega_and_mu(self, tmp_path, method):
+        """A constant Newton-type step is omega * mu times the direction."""
+        path = write_config(
+            tmp_path, method=method, steplength={"mode": "constant", "mu": 0.25, "omega": 1.5}
+        )
+        step = load_config(path)[2].step
+        assert (step.mode, step.constant_mu, step.omega) == ("constant", 0.25, 1.5)
+
     def test_relative_dataset_path(self, tmp_path):
         save_dataset(tmp_path / "data.json", Dataset(XOR_INPUTS, XOR_TARGETS))
         path = write_config(tmp_path, dataset_path="data.json")
@@ -343,6 +368,29 @@ class TestTrainCommand:
         assert rc == 2
         record = json.loads((out / "trial_record.json").read_text())
         assert record["outcome"] == "local_minimum"
+
+    def test_non_finite_weights_are_written_as_null(self, tmp_path, capsys):
+        """A gradient step of mu = 1e300 overflows every layer-1 weight in
+        the first iteration; weights.json stays strict JSON, with null for
+        each non-finite component, and load_checkpoint refuses it."""
+        cfg = write_config(
+            tmp_path,
+            method="gradient_descent",
+            steplength={"mode": "constant", "mu": 1e300},
+            trial={"blowup_threshold": 1e300},
+        )
+        out = tmp_path / "run"
+        rc = main(["train", "--config", str(cfg), "--out", str(out), "--seed", "0"])
+        assert rc == 2
+        assert "outcome=non_finite iterations=1" in capsys.readouterr().out
+
+        def strict(name):
+            raise AssertionError(f"weights.json holds {name}")
+
+        doc = json.loads((out / "weights.json").read_text(), parse_constant=strict)
+        assert doc["layers"][0] == [[None, None]] * 8
+        with pytest.raises(ValueError, match=r"^layer 1: weight 0 \[None, None\] is not an \[re, im\] pair"):
+            load_checkpoint(out / "weights.json")
 
     def test_non_finite_final_error_is_written_as_null(self, tmp_path, capsys):
         """Sigmoid gradient descent at battery seed 12398 ends non_finite

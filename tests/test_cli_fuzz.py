@@ -42,12 +42,19 @@ def valid_configs(draw):
     names = st.sampled_from(sorted(ACTIVATIONS))
     method = draw(st.sampled_from(METHODS))
     mode = "constant" if method == "gradient_descent" else draw(st.sampled_from(MODES))
+    # only the keys the run reads: omega scales Newton-type steps, and mu
+    # is the steplength of every constant mode
+    steplength = {"mode": mode}
+    if method != "gradient_descent":
+        steplength["omega"] = 0.5
+    if mode == "constant":
+        steplength["mu"] = 1.0
     return {
         "topology": [2, *hidden, 1],
         "activations": [draw(names) for _ in range(len(hidden) + 1)],
         "dataset_path": draw(st.sampled_from(["builtin:xor", "data.json"])),
         "method": method,
-        "steplength": {"mode": mode, "omega": 0.5, "mu": 1.0},
+        "steplength": steplength,
         "trial": {"max_iters": draw(st.integers(1, 5)), "init_range": 1.0},
     }
 

@@ -68,3 +68,26 @@ def test_perfbench_imports_resolve():
         parent = importlib.import_module(module)
         if not hasattr(parent, name):
             importlib.import_module(f"{module}.{name}")
+
+
+# the names bound in holonewt.training that the traced pass wraps for
+# its per-layer metrics; a renamed one would read as an absent span, and
+# its metric as 0
+TRAINING_TRACED = [
+    "train",
+    "forward",
+    "error_from_trace",
+    "init_weights",
+    "cogradient_conj",
+    "newton_update",
+    "pseudo_newton_update",
+    "one_step_mu",
+    "apply_update",
+]
+
+
+@pytest.mark.parametrize("name", TRAINING_TRACED)
+def test_traced_training_names_resolve(name):
+    from holonewt import training
+
+    assert callable(getattr(training, name, None))

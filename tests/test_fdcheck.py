@@ -42,7 +42,7 @@ def test_fd_cogradient_single_linear_neuron():
     t = NetworkTopology((1, 1), ("identity",))
     w = [np.zeros((1, 1), dtype=complex)]
     ds = Dataset(np.array([[1.0]]), np.array([[1.0]]))
-    np.testing.assert_allclose(fd_cogradient(t, w, ds, 1), [-1.0], atol=1e-10)
+    np.testing.assert_allclose(fd_cogradient(t, w, ds, 1), [[-1.0]], atol=1e-10)
 
 
 def test_fd_hessians_identity_net_uncoupled():
@@ -324,7 +324,7 @@ def test_verify_report_admits_8_32_32_8(monkeypatch):
 
     def zero_cogradient(topology, weights, dataset, p):
         calls.append(p)
-        return np.zeros(topology.layer_size(p), dtype=complex)
+        return np.zeros_like(weights[p - 1])
 
     def zero_hessian(topology, weights, dataset, p):
         return np.zeros((2 * topology.layer_size(p),) * 2)

@@ -81,7 +81,7 @@ def test_cogradient_hand_expansion_221():
     delta2 = delta_output(t, trace, ds.targets)
     delta1 = delta_hidden(t, trace, delta2, w, 1)
     cog = cogradient_conj(delta1, trace, 1)
-    np.testing.assert_allclose(cog, [-2.0, 2j, 2j, 2.0], atol=1e-15)
+    np.testing.assert_allclose(cog, [[-2.0, 2j], [2j, 2.0]], atol=1e-15)
 
 
 def test_cogradient_zero_at_perfect_fit():
@@ -92,14 +92,14 @@ def test_cogradient_zero_at_perfect_fit():
     ds = Dataset(x, forward(t, w, x).outputs)
     trace = forward(t, w, ds.inputs)
     delta = delta_output(t, trace, ds.targets)
-    np.testing.assert_array_equal(cogradient_conj(delta, trace, 1), np.zeros(4))
+    np.testing.assert_array_equal(cogradient_conj(delta, trace, 1), np.zeros((2, 2)))
 
 
 def test_cogradient_single_linear_neuron():
     t, w, ds = single_linear_neuron()
     trace = forward(t, w, ds.inputs)
     delta = delta_output(t, trace, ds.targets)
-    np.testing.assert_array_equal(cogradient_conj(delta, trace, 1), [-1.0])
+    np.testing.assert_array_equal(cogradient_conj(delta, trace, 1), [[-1.0]])
 
 
 def test_gd_single_step_minimizes_linear_neuron():
@@ -108,7 +108,7 @@ def test_gd_single_step_minimizes_linear_neuron():
     trace = forward(t, w, ds.inputs)
     delta = delta_output(t, trace, ds.targets)
     dw = -cogradient_conj(delta, trace, 1)
-    w[0] += dw.reshape(1, 1)
+    w[0] += dw
     assert w[0][0, 0] == 1.0
     assert error(t, w, ds) == 0.0
 

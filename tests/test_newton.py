@@ -8,16 +8,16 @@ from holonewt.fdcheck import fd_hessians, real_quadratic_form, relative_error
 from holonewt.gradient import cogradient_conj
 from holonewt.linalg import SingularMatrix
 from holonewt.newton import (
+    DegenerateStep,
     _node_blocks,
     backward_tables,
     hessian_pair,
     layer_step,
     newton_update,
-    one_step_denominator,
+    one_step_mu,
     pseudo_newton_update,
     table_buffers,
 )
-from holonewt.steplength import DegenerateStep
 
 from helpers import (
     complex_uniform,
@@ -237,13 +237,13 @@ class TestUpdates:
     def test_single_linear_neuron_newton(self):
         _, _, _, tables = single_linear_neuron_tables()
         for update in UPDATES:
-            np.testing.assert_array_equal(update(*update_inputs(tables, 1)), [1.0])
+            np.testing.assert_array_equal(update(*update_inputs(tables, 1)), [[1.0]])
 
     def test_zero_cogradient_zero_update(self):
         t, w, ds = random_instance((3, 2), "taylor3", 29)
         curv, cplus, x, cog = update_inputs(backward_tables(t, w, ds), 1)
         for update in UPDATES:
-            np.testing.assert_array_equal(update(curv, cplus, x, np.zeros_like(cog)), np.zeros(6))
+            np.testing.assert_array_equal(update(curv, cplus, x, np.zeros_like(cog)), np.zeros((2, 3)))
 
     def test_newton_reduces_to_pseudo_when_uncoupled(self):
         """H_wbar_w = 0 degenerates the coupled formula exactly."""
@@ -251,7 +251,7 @@ class TestUpdates:
         x = complex_uniform(rng, (6, 4))
         curv = rng.uniform(0.5, 1.5, (6, 2)).astype(complex)
         cplus = np.zeros_like(curv)
-        v = complex_uniform(rng, (8,))
+        v = complex_uniform(rng, (2, 4))
         np.testing.assert_array_equal(
             newton_update(curv, cplus, x, v), pseudo_newton_update(curv, cplus, x, v)
         )
@@ -269,8 +269,10 @@ class TestUpdates:
         tables = backward_tables(t, w, ds)
         h_ww, _ = hessian_pair(tables, 2)
         inputs = update_inputs(tables, 2)
-        dense = np.linalg.solve(h_ww, -inputs[-1])
-        np.testing.assert_allclose(pseudo_newton_update(*inputs), dense, rtol=1e-12, atol=1e-15)
+        dense = np.linalg.solve(h_ww, -inputs[-1].ravel())
+        np.testing.assert_allclose(
+            pseudo_newton_update(*inputs).ravel(), dense, rtol=1e-12, atol=1e-15
+        )
 
     def test_newton_solves_the_coupled_system(self):
         """The returned dw satisfies the stacked optimality conditions
@@ -279,8 +281,8 @@ class TestUpdates:
         tables = backward_tables(t, w, ds)
         h_ww, h_wbar_w = hessian_pair(tables, 2)
         inputs = update_inputs(tables, 2)
-        cog = inputs[-1]
-        dw = newton_update(*inputs)
+        cog = inputs[-1].ravel()
+        dw = newton_update(*inputs).ravel()
         residual = h_ww @ dw + h_wbar_w @ np.conj(dw) + cog
         assert np.linalg.norm(residual) <= 1e-10 * max(np.linalg.norm(cog), 1.0)
 
@@ -291,23 +293,35 @@ class TestUpdates:
         x = np.array([[1.0, 0.0]], dtype=complex)
         for update in UPDATES:
             with pytest.raises(SingularMatrix):
-                update(curv, cplus, x, np.ones(2, dtype=complex))
+                update(curv, cplus, x, np.ones((1, 2), dtype=complex))
 
     def test_stack_and_cogradient_shapes_are_checked(self):
-        """The cogradient needs one entry per weight of the layer's
-        node-block stack."""
+        """The cogradient needs the layer's (K_p, K_{p-1}) shape, one row
+        per node block; a flat one is refused too."""
         t, w, ds = random_instance((2, 3), "taylor3", 34)
         curv, cplus, x, cog = update_inputs(backward_tables(t, w, ds), 1)
-        for update in UPDATES:
-            with pytest.raises(ValueError, match=r"cogradient of shape \(5,\) for 3 node blocks"):
-                update(curv, cplus, x, cog[:5])
+        for bad, shape in ((cog[:, :1], r"\(3, 1\)"), (cog.ravel(), r"\(6,\)")):
+            for update in UPDATES:
+                with pytest.raises(ValueError, match=rf"cogradient of shape {shape} for 3 node blocks of size 2"):
+                    update(curv, cplus, x, bad)
+
+    def test_steps_keep_the_layer_shape_contiguous(self):
+        """Both updates return the layer's (K_p, K_{p-1}) weight shape as
+        a C-contiguous array, which one_step_mu multiplies by."""
+        t, w, ds = random_instance((3, 4, 2), "sigmoid", 36, n_samples=5)
+        tables = backward_tables(t, w, ds)
+        for p in (1, 2):
+            for update in UPDATES:
+                dw = update(*update_inputs(tables, p))
+                assert dw.shape == w[p - 1].shape
+                assert dw.flags.c_contiguous
 
     def test_singular_block_is_named(self):
         # with x = I, node j's block is diag(curvature[:, j]) / 2, so the
         # third node's block is rank 1
         curv = np.array([[1, 1, 1], [1, 1, 0]], dtype=complex)
         x = np.eye(2, dtype=complex)
-        v = np.ones(6, dtype=complex)
+        v = np.ones((3, 2), dtype=complex)
         for update in UPDATES:
             with pytest.raises(SingularMatrix, match="^block 2: pivot"):
                 update(curv, np.zeros_like(curv), x, v)
@@ -338,7 +352,7 @@ class TestUpdates:
 )
 def test_matrix_free_curvature_matches_assembly(widths, act, n_samples, seed):
     """On random topologies up to depth 4, the node blocks and one-step
-    denominator that training computes from the layer tables agree with
+    steplength that training computes from the layer tables agree with
     the H_ww and H_wbar_w that hessian_pair assembles from them."""
     t, w, ds = random_instance(widths, act, seed, n_samples=n_samples, pole_margin=0.05)
     tables = backward_tables(t, w, ds)
@@ -356,10 +370,14 @@ def test_matrix_free_curvature_matches_assembly(widths, act, n_samples, seed):
         assert np.abs(a - node_diagonal(h_ww, k)).max() <= 1e-13 * scale
         assert np.abs(g - node_diagonal(h_wbar_w, k)).max() <= 1e-13 * scale
 
-        dw = complex_uniform(rng, (t.layer_size(p),))
-        denominator = one_step_denominator(curv, cplus, x, dw)
-        reference = real_quadratic_form(h_ww, h_wbar_w, dw) / 2
-        size = abs(np.vdot(dw, h_ww @ dw)) + abs(np.vdot(dw, h_wbar_w @ np.conj(dw)))
+        dw = complex_uniform(rng, (k, t.widths[p - 1]))
+        # with the cogradient dw itself the numerator is -|dw|^2, so the
+        # steplength gives away its denominator
+        numerator = -np.vdot(dw, dw).real
+        denominator = numerator / one_step_mu(curv, cplus, x, dw, dw)
+        flat = dw.ravel()
+        reference = real_quadratic_form(h_ww, h_wbar_w, flat) / 2
+        size = abs(np.vdot(flat, h_ww @ flat)) + abs(np.vdot(flat, h_wbar_w @ np.conj(flat)))
         assert abs(denominator - reference) <= 1e-12 * max(size, 1e-300)
 
         # training's step, which builds its own stacks, solves each node's
@@ -370,8 +388,8 @@ def test_matrix_free_curvature_matches_assembly(widths, act, n_samples, seed):
         coupled = np.block([[ref_a, ref_g], [np.conj(ref_g), np.conj(ref_a)]])
         if max(np.linalg.cond(ref_a).max(), np.linalg.cond(coupled).max()) > 1e4:
             continue
-        dw = newton_update(curv, cplus, x, cog).reshape(k, -1, 1)
-        v = cog.reshape(k, -1, 1)
+        dw = newton_update(curv, cplus, x, cog)[:, :, None]
+        v = cog[:, :, None]
         residual = ref_a @ dw + ref_g @ np.conj(dw) + v
         bound = 1e-10 * (np.abs(coupled).max() * np.abs(dw).max() + np.abs(v).max())
         assert np.abs(residual).max() <= bound

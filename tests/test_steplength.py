@@ -2,20 +2,20 @@ import numpy as np
 import pytest
 
 from holonewt import Dataset, NetworkTopology, error
-from holonewt.fdcheck import real_quadratic_form
 from holonewt.gradient import cogradient_conj
-from holonewt.newton import backward_tables, newton_update, one_step_denominator
-from holonewt.steplength import DegenerateStep, StepConfig, apply_update, mu_from_denominator
+from holonewt.newton import DegenerateStep, backward_tables, newton_update, one_step_mu
+from holonewt.steplength import StepConfig, apply_update
 from holonewt.training import TrainConfig, train
 
 from conftest import XOR_INPUTS, XOR_TARGETS
 from helpers import complex_uniform
 
 
-def mu_from_blocks(cograd_conj, dw, h_ww, h_wbar_w):
-    """mu_from_denominator with the denominator from assembled blocks,
-    Re{dw^H H_ww dw + dw^H H_wbar_w conj(dw)}."""
-    return mu_from_denominator(cograd_conj, dw, real_quadratic_form(h_ww, h_wbar_w, dw) / 2)
+def single_weight_mu(cograd_conj, dw, h_ww, h_wbar_w):
+    """one_step_mu for one weight on one sample x = 1, where the
+    curvature and conjugate-plus-residual tables are H_ww and H_wbar_w."""
+    tables = (np.full((1, 1), v, dtype=complex) for v in (h_ww, h_wbar_w, 1.0, cograd_conj, dw))
+    return one_step_mu(*tables)
 
 
 class TestStepConfig:
@@ -48,71 +48,57 @@ class TestStepConfig:
 
 def test_one_step_mu_single_linear_neuron():
     """cograd -1, dw 1, H_ww 1: numerator and denominator are both 1."""
-    mu = mu_from_blocks(
-        np.array([-1.0 + 0j]),
-        np.array([1.0 + 0j]),
-        np.array([[1.0 + 0j]]),
-        np.array([[0.0 + 0j]]),
-    )
-    assert mu == 1.0
+    assert single_weight_mu(-1.0, 1.0, 1.0, 0.0) == 1.0
 
 
 def test_one_step_mu_exact_on_quadratic():
     """E = |w|^2 with the Newton direction dw = -w gives mu = 1 anywhere."""
     for w in (0.3 + 0.7j, -2.0, 5j):
-        cog = np.array([w])
-        dw = np.array([-w])
-        mu = mu_from_blocks(cog, dw, np.array([[1.0 + 0j]]), np.array([[0.0 + 0j]]))
-        assert mu == pytest.approx(1.0, rel=1e-15)
+        assert single_weight_mu(w, -w, 1.0, 0.0) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_one_step_mu_degenerate_denominator():
-    with pytest.raises(DegenerateStep):
-        mu_from_blocks(
-            np.array([1.0 + 0j]),
-            np.array([1.0 + 0j]),
-            np.array([[0.0 + 0j]]),
-            np.array([[0.0 + 0j]]),
-        )
+    with pytest.raises(DegenerateStep, match=r"^denominator 0\.0$"):
+        single_weight_mu(1.0, 1.0, 0.0, 0.0)
 
 
-@pytest.mark.parametrize("denominator", [np.inf, -np.inf, np.nan])
-def test_non_finite_denominator_is_degenerate(denominator):
-    with pytest.raises(DegenerateStep, match="denominator is .*not finite"):
-        mu_from_denominator(np.array([1.0 + 0j]), np.array([1.0 + 0j]), denominator)
+@pytest.mark.parametrize("h_ww", [1e-301, -1e-301])
+def test_near_zero_denominator_is_degenerate(h_ww):
+    """A denominator below 1e-300 in magnitude is named with its value."""
+    with pytest.raises(DegenerateStep, match=f"^denominator {h_ww!r}$"):
+        single_weight_mu(1.0, 1.0, h_ww, 0.0)
+
+
+@pytest.mark.parametrize("h_ww", [np.inf, -np.inf, np.nan])
+def test_non_finite_denominator_is_degenerate(h_ww):
+    with np.errstate(all="ignore"), pytest.raises(DegenerateStep, match="denominator is .*not finite"):
+        single_weight_mu(1.0, 1.0, h_ww, 0.0)
 
 
 def test_one_step_mu_negative_passes_through():
     """A negative quotient is returned unclamped."""
-    mu = mu_from_blocks(
-        np.array([-1.0 + 0j]),
-        np.array([1.0 + 0j]),
-        np.array([[-1.0 + 0j]]),
-        np.array([[0.0 + 0j]]),
-    )
-    assert mu == -1.0
+    assert single_weight_mu(-1.0, 1.0, -1.0, 0.0) == -1.0
 
 
 def test_one_step_mu_uses_coupling_term():
     """The H_wbar_w quadratic form enters the denominator."""
-    cog = np.array([-1.0 + 0j])
-    dw = np.array([1.0 + 0j])
-    h_ww = np.array([[1.0 + 0j]])
-    assert mu_from_blocks(cog, dw, h_ww, np.array([[1.0 + 0j]])) == pytest.approx(0.5)
+    assert single_weight_mu(-1.0, 1.0, 1.0, 1.0) == pytest.approx(0.5)
 
 
 def test_one_step_mu_scale_covariance():
     """Scaling dw by c > 0 scales mu by 1/c; the applied step is invariant."""
     rng = np.random.default_rng(1)
-    n = 5
-    h_ww = complex_uniform(rng, (n, n))
-    h_ww = h_ww @ h_ww.conj().T + n * np.eye(n)
-    h_wbar_w = 0.1 * complex_uniform(rng, (n, n))
-    cog = complex_uniform(rng, (n,))
-    dw = complex_uniform(rng, (n,))
-    mu = mu_from_blocks(cog, dw, h_ww, h_wbar_w)
+    n_samples, k, k_in = 6, 3, 2
+    curv = complex_uniform(rng, (n_samples, k, k))
+    # positive definite per sample, so the denominator stays away from 0
+    curv = curv @ np.conj(np.swapaxes(curv, 1, 2)) + k * np.eye(k)
+    cplus = 0.1 * complex_uniform(rng, (n_samples, k, k))
+    x = complex_uniform(rng, (n_samples, k_in))
+    cog = complex_uniform(rng, (k, k_in))
+    dw = complex_uniform(rng, (k, k_in))
+    mu = one_step_mu(curv, cplus, x, cog, dw)
     for c in (2.0, 0.25, 10.0):
-        mu_c = mu_from_blocks(cog, c * dw, h_ww, h_wbar_w)
+        mu_c = one_step_mu(curv, cplus, x, cog, c * dw)
         assert mu_c == pytest.approx(mu / c, rel=1e-12)
         np.testing.assert_allclose(mu_c * (c * dw), mu * dw, rtol=1e-12)
 
@@ -120,23 +106,30 @@ def test_one_step_mu_scale_covariance():
 class TestApplyUpdate:
     def test_moves_single_weight_to_minimum(self):
         weights = [np.zeros((1, 1), dtype=complex)]
-        apply_update(weights, 1, np.array([1.0 + 0j]), 1.0, 1.0)
+        apply_update(weights, 1, np.array([[1.0 + 0j]]), 1.0, 1.0)
         assert weights[0][0, 0] == 1.0
 
     def test_zero_direction_is_fixed_point(self):
         weights = [np.full((2, 2), 0.5 + 0.5j)]
         before = weights[0].copy()
-        apply_update(weights, 1, np.zeros(4, dtype=complex), 3.0, 1.0)
+        apply_update(weights, 1, np.zeros((2, 2), dtype=complex), 3.0, 1.0)
         np.testing.assert_array_equal(weights[0], before)
 
     def test_underrelaxation_scales(self):
         weights = [np.zeros((1, 1), dtype=complex)]
-        apply_update(weights, 1, np.array([2.0 + 0j]), 1.0, 0.5)
+        apply_update(weights, 1, np.array([[2.0 + 0j]]), 1.0, 0.5)
         assert weights[0][0, 0] == 1.0
+
+    def test_updates_the_matrix_in_place(self):
+        w = np.zeros((2, 3), dtype=complex)
+        weights = [w]
+        apply_update(weights, 1, np.arange(6, dtype=complex).reshape(2, 3), 1.0, 1.0)
+        assert weights[0] is w
+        np.testing.assert_array_equal(w, np.arange(6).reshape(2, 3))
 
     def test_only_named_layer_changes(self):
         weights = [np.zeros((1, 1), dtype=complex), np.zeros((1, 1), dtype=complex)]
-        apply_update(weights, 2, np.array([1.0 + 0j]), 1.0, 1.0)
+        apply_update(weights, 2, np.array([[1.0 + 0j]]), 1.0, 1.0)
         assert weights[0][0, 0] == 0.0
         assert weights[1][0, 0] == 1.0
 
@@ -157,7 +150,7 @@ def test_quadratic_one_step_exactness():
         curv, cplus, x = tables.curvature[0], tables.cplus[0], tables.trace.values[0]
         cog = cogradient_conj(tables.deltas[0], tables.trace, 1)
         dw = newton_update(curv, cplus, x, cog)
-        mu = mu_from_denominator(cog, dw, one_step_denominator(curv, cplus, x, dw))
+        mu = one_step_mu(curv, cplus, x, cog, dw)
         apply_update(w, 1, dw, mu, omega=1.0)
         assert error(t, w, ds) <= 1e-18
 

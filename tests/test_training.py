@@ -332,9 +332,10 @@ def test_pseudo_newton_never_builds_the_conjugate_block_stack(monkeypatch):
 def test_non_finite_denominator_ends_the_trial(monkeypatch, bad):
     """A NaN or infinite one-step denominator ends the trial as
     non_finite at once, instead of stalling or poisoning the weights."""
-    from holonewt import training
+    from holonewt import newton
 
-    monkeypatch.setattr(training, "one_step_denominator", lambda *args: bad)
+    # the table products of the denominator's quadratic forms
+    monkeypatch.setattr(newton, "_apply", lambda table, u: np.full_like(u, bad))
     # one layer, so no later layer of the same sweep sees the step first
     t = NetworkTopology((2, 1), ("taylor3",))
     rec = train(t, xor(), TrainConfig(method="pseudo_newton", max_iters=5), seed=12345)
