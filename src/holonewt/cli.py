@@ -36,6 +36,7 @@ from .network import (
     read_json,
     save_checkpoint,
 )
+from .newton import check_step_size
 from .steplength import StepConfig
 from .training import (
     TrainConfig,
@@ -145,6 +146,12 @@ def load_config(path):
         raise ConfigError("steplength key 'omega' has no effect: gradient descent steps by mu alone")
     if step.mode == "one_step_newton" and "mu" in sl:
         raise ConfigError("steplength key 'mu' has no effect: one_step_newton computes mu every step")
+    # refused here, so that train and trials make no output directory for it
+    if config.method != "gradient_descent":
+        try:
+            check_step_size(topology, len(dataset))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     return topology, dataset, config, doc
 

@@ -9,14 +9,18 @@ d/dw = (d/dx - i d/dy)/2 and d/dwbar = (d/dx + i d/dy)/2.
 Probes live in node space.  Each moves one or two weights, so one or two
 nodes of the checked layer p; only those nodes' weight rows are built
 and run through layer p, then the later layers and the error run on it.
-Layers before p are evaluated once, and layer p once at the centre.  A
-Hessian probe whose two real coordinates lie in different nodes moves
-each node by one coordinate, +h or -h, so the activations of all 2(2n)
-single-coordinate moves of the layer's n weights are evaluated once and
-gathered; only the probes of the S = K (2 K_in)(2 K_in + 1) / 2 pairs
-inside one node (K nodes of fan-in K_in) evaluate that node again.  The
-layer-p activation thus sees (K + 4n + 4S) N entries per Hessian on N
-samples.  Every value is the same bits as a full forward pass per probe.
+_layer_probes is the one place probes are built and evaluated: it runs
+the layers before p once and layer p once at the centre, evaluates the
+activations of all 2(2n) single-coordinate moves, +h or -h, of the
+layer's n weights once, and runs the later layers on chunks of
+four-probe stencils.  The cogradient's 4n probes are those single moves.
+A Hessian probe whose two real coordinates lie in different nodes moves
+each node by one coordinate, so it gathers both nodes' activations from
+the single moves; only the probes of the S = K (2 K_in)(2 K_in + 1) / 2
+pairs inside one node (K nodes of fan-in K_in) evaluate that node again.
+The layer-p activation thus sees (K + 4n) N entries per cogradient and
+(K + 4n + 4S) N per Hessian on N samples.  Every value is the same bits
+as a full forward pass per probe.
 
 The steps are fixed: 1e-5 for the cogradient's central differences and
 1e-4, at both levels, for the Hessian's four-point stencils.
@@ -46,6 +50,13 @@ _SECOND_STEP = 1e-4
 
 # the largest error of each kind a report within tolerance may hold
 TOLERANCES = {"cogradient_tol": 1e-5, "hessian_tol": 1e-5, "quadratic_form_tol": 1e-4}
+# the tolerance each per-layer error of a report is held to
+_TOLERANCE_OF = {
+    "cogradient_rel": "cogradient_tol",
+    "h_ww_rel": "hessian_tol",
+    "h_wbar_w_rel": "hessian_tol",
+    "quadratic_form_rel": "quadratic_form_tol",
+}
 # the most four-probe Hessian stencils a report may take, (2n)(2n+1)/2
 # per layer of n weights: 8-32-32-8 takes 2,360,832
 MAX_STENCILS = 4_000_000
@@ -74,20 +85,34 @@ class NonFiniteEvaluation(Exception):
     """
 
 
-def _layer_error_fn(topology, weights, dataset, p, centre):
-    """E near layer p's (K_p, K_{p-1}) weights `centre`, other layers
-    frozen, as a function of the layer-p nodes a probe moves.
+def _complex_rows(r):
+    """Node weight rows from their (..., 2, K_{p-1}) real coordinates,
+    rebuilt the same way at the centre and at every probe, so that signed
+    zeros agree."""
+    return r[..., 0, :] + 1j * r[..., 1, :]
 
-    Returns (values_of, e_of).  values_of(rows) maps a (..., M, K_{p-1})
-    stack of layer-p node weight rows to their (..., M, N) activations on
-    the N samples.  e_of(moved, nodes, where) maps the (B, c, N)
-    activations `moved` of the layer-p nodes nodes[b], a (B, c) index
-    array, to the (B,) errors of the probes that equal `centre` in every
-    other node; those nodes' activations come from one pass at `centre`.
-    `where(row)` names the probe in row `row` when its error is not
-    finite.  Layers before p are evaluated once here.
+
+def _layer_probes(topology, weights, dataset, p, h):
+    """E near layer p's weights, other layers frozen, probed in node space.
+
+    Returns (r0, coords, values_of, single, errors):
+      r0         layer p's real coordinates, (K_p, 2, K_{p-1}): each
+                 node's real parts, then its imaginary parts;
+      coords     (part, node, col) of each of the 2n stacked real
+                 coordinates (x_1..x_n, y_1..y_n) of the n weights;
+      values_of  maps a (..., M, K_{p-1}) stack of layer-p node weight
+                 rows to their (..., M, N) activations on the N samples;
+      single     single[0 or 1, i], the (N,) activations of coordinate
+                 i's node with i alone moved by +h or -h;
+      errors     errors(count, points, where), the (count, 4) errors of
+                 `count` four-probe stencils, _STENCILS_PER_CHUNK at a
+                 time.  points(ks) gives the (len(ks), 4, c, N)
+                 activations of the layer-p nodes that the probes of
+                 stencils ks move and the (len(ks), c) nodes themselves;
+                 every other node keeps its activations at r0.  where(k, s)
+                 names probe s of stencil k when its error is not finite.
+    Layers before p, and layer p at r0, are evaluated once here.
     """
-    widths = topology.widths
     frozen = [np.asarray(w, dtype=_LONGC) for w in weights]
     x = np.asarray(dataset.inputs, dtype=_LONGC)
     for q in range(1, p):
@@ -100,44 +125,36 @@ def _layer_error_fn(topology, weights, dataset, p, centre):
         # the nodes are stacked, and the same as in a full forward pass
         return np.swapaxes(topology.activation(p).f(x @ np.swapaxes(rows, -1, -2)), -1, -2)
 
-    y_centre = values_of(centre).T
+    base = frozen[p - 1]
+    n, fan_in = base.size, base.shape[1]
+    r0 = np.stack([base.real, base.imag], axis=1)
+    y_centre = values_of(_complex_rows(r0)).T
+    coords = np.arange(2 * n)
+    part, node, col = coords // n, coords % n // fan_in, coords % fan_in
+    r = np.repeat(r0[node][np.newaxis], 2, axis=0)
+    r[:, coords, part, col] += h * np.array([[1], [-1]])
+    single = values_of(_complex_rows(r))
 
-    def e_of(moved, nodes, where):
-        b = np.arange(len(moved))[:, None]
-        y = np.repeat(y_centre[np.newaxis], len(moved), axis=0)
-        y[b, :, nodes] = moved
-        for q in range(p + 1, len(widths)):
-            y = topology.activation(q).f(y @ frozen[q - 1].T)
-        r = y - targets
-        values = np.mean(np.sum(r.real**2 + r.imag**2, axis=2), axis=1)
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            row = bad[0]
-            raise NonFiniteEvaluation(f"layer {p}: error is {values[row]} at {where(row)}")
-        return values
+    def errors(count, points, where):
+        chunks = []
+        for start in range(0, count, _STENCILS_PER_CHUNK):
+            ks = np.arange(start, min(start + _STENCILS_PER_CHUNK, count))
+            moved, nodes = points(ks)
+            b = np.arange(4 * ks.size)[:, None]
+            y = np.repeat(y_centre[np.newaxis], b.size, axis=0)
+            y[b, :, np.repeat(nodes, 4, axis=0)] = moved.reshape(b.size, *moved.shape[2:])
+            for q in range(p + 1, topology.n_layers + 1):
+                y = topology.activation(q).f(y @ frozen[q - 1].T)
+            res = y - targets
+            values = np.mean(np.sum(res.real**2 + res.imag**2, axis=2), axis=1)
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                k, s = divmod(bad[0], 4)
+                raise NonFiniteEvaluation(f"layer {p}: error is {values[bad[0]]} at {where(ks[k], s)}")
+            chunks.append(values.reshape(ks.size, 4))
+        return np.concatenate(chunks)
 
-    return values_of, e_of
-
-
-def _stencil_errors(e_of, count, points, where):
-    """Errors at `count` four-probe stencils, _STENCILS_PER_CHUNK at a time.
-
-    `points(ks)` gives the (len(ks), 4, c, N) activations of the layer-p
-    nodes that the probes of stencils `ks` move and the (len(ks), c)
-    nodes themselves, and `where(k, s)` names probe s of stencil k.
-    Returns a (count, 4) array.
-    """
-    errors = []
-    for start in range(0, count, _STENCILS_PER_CHUNK):
-        ks = np.arange(start, min(start + _STENCILS_PER_CHUNK, count))
-        moved, nodes = points(ks)
-        values = e_of(
-            moved.reshape(4 * ks.size, *moved.shape[2:]),
-            np.repeat(nodes, 4, axis=0),
-            lambda row: where(ks[row // 4], row % 4),
-        )
-        errors.append(values.reshape(ks.size, 4))
-    return np.concatenate(errors)
+    return r0, (part, node, col), values_of, single, errors
 
 
 _COGRADIENT_PROBES = ("+h", "-h", "+ih", "-ih")
@@ -147,27 +164,23 @@ def fd_cogradient(topology, weights, dataset, p):
     """FD estimate of the conjugate cogradient (dE/dw^(p-1))*, in the weights' shape.
 
     Flat weight k is probed at w_k + h, w_k - h, w_k + ih and w_k - ih, which
-    give d/dx and d/dy and so d/dw = (d/dx - i d/dy)/2.
+    give d/dx and d/dy and so d/dw = (d/dx - i d/dy)/2.  Each probe moves
+    one real coordinate alone, so all 4n probes are the single moves.
     """
-    base = np.asarray(weights[p - 1], dtype=_LONGC)
-    values_of, e_of = _layer_error_fn(topology, weights, dataset, p, base)
     h = _FIRST_STEP
-    flat = base.ravel()
-    stepped = np.stack([flat + h, flat - h, flat + 1j * h, flat - 1j * h], axis=1)
+    r0, (_, node, _), _, single, errors = _layer_probes(topology, weights, dataset, p, h)
+    n = node.size // 2
+    # (+h, -h) on x_k, then on y_k
+    signs, offsets = np.array([0, 1, 0, 1]), np.array([0, 0, n, n])
 
     def points(ks):
-        nodes, cols = np.divmod(ks, base.shape[1])
-        rows = np.repeat(base[nodes, np.newaxis], 4, axis=1)
-        rows[np.arange(ks.size), :, cols] = stepped[ks]
-        return values_of(rows)[:, :, np.newaxis], nodes[:, np.newaxis]
+        return single[signs, ks[:, None] + offsets][:, :, np.newaxis], node[ks][:, np.newaxis]
 
-    f = _stencil_errors(
-        e_of, flat.size, points, lambda k, s: f"the {_COGRADIENT_PROBES[s]} probe of weight {k}"
-    )
+    f = errors(n, points, lambda k, s: f"the {_COGRADIENT_PROBES[s]} probe of weight {k}")
     dfdx = (f[:, 0] - f[:, 1]) / (2.0 * h)
     dfdy = (f[:, 2] - f[:, 3]) / (2.0 * h)
     # E is real, so (dE/dw)* = dE/dwbar
-    return np.conj(0.5 * (dfdx - 1j * dfdy)).astype(complex).reshape(base.shape)
+    return np.conj(0.5 * (dfdx - 1j * dfdy)).astype(complex).reshape(r0[:, 0].shape)
 
 
 def _wirtinger_hessians(h_rr):
@@ -208,26 +221,9 @@ def fd_real_hessian(topology, weights, dataset, p):
     evaluation of every coordinate moved alone by +h and by -h; only the
     probes of a pair inside one node evaluate that node again.
     """
-    base = np.asarray(weights[p - 1], dtype=_LONGC)
-    n, fan_in = base.size, base.shape[1]
     h = _SECOND_STEP
-    # each node's real coordinates, (K_p, 2, K_{p-1}): real parts, then imaginary
-    r0 = np.stack([base.real, base.imag], axis=1)
-
-    def complex_rows(r):
-        # rebuilt the same way at the centre and at every probe, so that
-        # signed zeros agree
-        return r[..., 0, :] + 1j * r[..., 1, :]
-
-    values_of, e_of = _layer_error_fn(topology, weights, dataset, p, complex_rows(r0))
-    m = 2 * n
-    coords = np.arange(m)
-    part, node, col = coords // n, coords % n // fan_in, coords % fan_in
-    # single[0 or 1, i]: the (N,) activations of coordinate i's node with
-    # i alone moved by +h or -h
-    r = np.repeat(r0[node][np.newaxis], 2, axis=0)
-    r[:, coords, part, col] += h * np.array([[1], [-1]])
-    single = values_of(complex_rows(r))
+    r0, (part, node, col), values_of, single, errors = _layer_probes(topology, weights, dataset, p, h)
+    m = single.shape[1]
     rows_i, cols_j = np.triu_indices(m)
     signs_i, signs_j = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
 
@@ -242,11 +238,10 @@ def fd_real_hessian(topology, weights, dataset, p):
             # two separate steps, so a diagonal probe moves by (r + h) + h
             r[rows, :, part[a], col[a]] += h * np.array([1, 1, -1, -1])
             r[rows, :, part[b], col[b]] += h * np.array([1, -1, 1, -1])
-            values[inside] = values_of(complex_rows(r))[:, :, np.newaxis]
+            values[inside] = values_of(_complex_rows(r))[:, :, np.newaxis]
         return values, np.stack([node[i], node[j]], axis=1)
 
-    f = _stencil_errors(
-        e_of,
+    f = errors(
         rows_i.size,
         points,
         lambda k, s: f"the {_HESSIAN_PROBES[s]} probe of real coordinates ({rows_i[k]}, {cols_j[k]})",
@@ -335,14 +330,11 @@ def verify_report(topology, weights, dataset):
             "h_wbar_w_rel": relative_error(h_wbar_w, fd_wbar_w, scale=h_scale),
             "quadratic_form_rel": relative_error(analytic, reference),
         })
-    for key in ("cogradient_rel", "h_ww_rel", "h_wbar_w_rel", "quadratic_form_rel"):
+    for key in _TOLERANCE_OF:
         report[f"max_{key}"] = max(layer[key] for layer in report["layers"])
-    # an infinite or NaN error compares false, so it fails the report
     report["tolerances"] = dict(TOLERANCES)
-    report["within_tolerance"] = (
-        report["max_cogradient_rel"] <= TOLERANCES["cogradient_tol"]
-        and report["max_h_ww_rel"] <= TOLERANCES["hessian_tol"]
-        and report["max_h_wbar_w_rel"] <= TOLERANCES["hessian_tol"]
-        and report["max_quadratic_form_rel"] <= TOLERANCES["quadratic_form_tol"]
+    # an infinite or NaN error compares false, so it fails the report
+    report["within_tolerance"] = all(
+        report[f"max_{key}"] <= TOLERANCES[tol] for key, tol in _TOLERANCE_OF.items()
     )
     return report

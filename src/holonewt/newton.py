@@ -68,7 +68,9 @@ from .linalg import solve
 from .network import forward
 
 __all__ = [
+    "MAX_STEP_ENTRIES",
     "DegenerateStep",
+    "check_step_size",
     "table_buffers",
     "layer_step",
     "one_step_mu",
@@ -83,6 +85,33 @@ __all__ = [
 class DegenerateStep(Exception):
     """A Newton-type step that cannot be taken: an update's input or node
     block not finite, or a one-step denominator not finite or (almost) 0."""
+
+
+# the most complex entries one array of a Newton-type step may hold
+# (256 MiB); 8-32-32-8 on 32 samples needs 32,768
+MAX_STEP_ENTRIES = 2**24
+
+
+def check_step_size(topology, n_samples):
+    """Raise ValueError, naming the layer, the count and the cap, when a
+    Newton-type step on n_samples would build an array of more than
+    MAX_STEP_ENTRIES entries.
+
+    The largest arrays a step builds are layer p's node-block stack,
+    K_p K_{p-1}^2 entries, and a hidden layer's table buffers from
+    table_buffers, N K_p max(K_p, K_{p+1}) entries at most.
+    """
+    widths = topology.widths
+    for p in range(1, topology.n_layers + 1):
+        sizes = {"node-block stack": widths[p] * widths[p - 1] ** 2}
+        if p < topology.n_layers:
+            sizes["table buffer"] = n_samples * widths[p] * max(widths[p], widths[p + 1])
+        for what, entries in sizes.items():
+            if entries > MAX_STEP_ENTRIES:
+                raise ValueError(
+                    f"layer {p} of topology {widths} needs a {what} of {entries} entries for a"
+                    f" Newton-type step on {n_samples} samples, above the cap of {MAX_STEP_ENTRIES}"
+                )
 
 
 def _diagonal(table):

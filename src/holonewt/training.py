@@ -40,6 +40,7 @@ from .linalg import SingularMatrix
 from .network import error_from_trace, forward, init_weights
 from .newton import (
     DegenerateStep,
+    check_step_size,
     layer_step,
     newton_update,
     one_step_mu,
@@ -153,14 +154,17 @@ def _sweep(topology, weights, trace, targets, config, buffers):
 def train(topology, dataset, config, seed, keep_history=True):
     """Train from the seeded initialization until success, failure or budget.
 
-    Raises ValueError when the dataset's widths are not the net's.
+    Raises ValueError, before any weight is drawn, when the dataset's
+    widths are not the net's or a Newton-type step would build an array
+    past newton.MAX_STEP_ENTRIES.
     """
     topology.check_dataset(dataset)
-    weights = init_weights(topology, seed, config.init_range)
     # the Newton-type tables are overwritten in place on every iteration
     buffers = None
     if config.method != "gradient_descent":
+        check_step_size(topology, dataset.inputs.shape[0])
         buffers = table_buffers(topology, dataset.inputs.shape[0])
+    weights = init_weights(topology, seed, config.init_range)
     budget = config.iteration_budget
     history = []
     outcome = stalled = None

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +172,23 @@ class TestExitCodes:
             " above the cap of 1000000\n"
         )
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "trials"])
+    def test_newton_step_too_large_exits_1_at_once(self, tmp_path, command):
+        """A 2-990-990-1 net is under the weight cap, but its layer-2
+        node-block stack would hold 970,299,000 entries (15.5 GB); the
+        config is refused before the output directory is made."""
+        cfg = write_config(tmp_path, topology=[2, 990, 990, 1], activations=["taylor3"] * 3)
+        started = time.monotonic()
+        out = run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "out"), timeout=60)
+        assert out.returncode == 1
+        assert out.stderr == (
+            "holonewt: layer 2 of topology (2, 990, 990, 1) needs a node-block stack of 970299000"
+            " entries for a Newton-type step on 4 samples, above the cap of 16777216\n"
+        )
+        assert not (tmp_path / "out").exists()
+        # the interpreter's start and numpy's import included
+        assert time.monotonic() - started < 5
 
     @pytest.mark.parametrize("command", ["train", "trials"])
     def test_out_of_memory_exits_1(self, tmp_path, capsys, monkeypatch, command):

@@ -34,13 +34,29 @@ def test_submodule_exports_resolve(name):
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def traced_modules():
-    """The module keys of the tracer's TARGETS, read from its source."""
+def traced_targets():
+    """The tracer's TARGETS, module -> {attribute: span name}, read from its source."""
     tree = ast.parse((PERFBENCH / "tracing.py").read_text())
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TARGETS" for t in node.targets):
-            return sorted(ast.literal_eval(node.value))
+            return ast.literal_eval(node.value)
     raise AssertionError("perfbench/tracing.py assigns no TARGETS")
+
+
+def traced_modules():
+    """The module keys of the tracer's TARGETS."""
+    return sorted(traced_targets())
+
+
+# the modules whose every traced attribute must resolve; holonewt.training
+# still names functions the single backward layer step replaced
+PINNED_TRACED = ("holonewt.newton", "holonewt.gradient", "holonewt.fdcheck", "holonewt.cli")
+
+
+def pinned_traced_names():
+    """(module, attribute) for each name the tracer wraps in PINNED_TRACED."""
+    targets = traced_targets()
+    return [(module, name) for module in PINNED_TRACED for name in sorted(targets[module])]
 
 
 def perfbench_imports():
@@ -58,6 +74,13 @@ def test_traced_module_imports(name):
     """A module the traced benchmark pass wraps still exists; its
     attributes may be gone, which the tracer lists as absent."""
     importlib.import_module(name)
+
+
+@pytest.mark.parametrize("module, name", pinned_traced_names())
+def test_traced_names_resolve(module, name):
+    """A renamed oracle or update would read as an absent span, and its
+    per-layer metric as 0."""
+    assert callable(getattr(importlib.import_module(module), name, None))
 
 
 def test_perfbench_imports_resolve():

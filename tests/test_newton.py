@@ -8,9 +8,11 @@ from holonewt.fdcheck import fd_hessians, real_quadratic_form, relative_error
 from holonewt.gradient import cogradient_conj
 from holonewt.linalg import SingularMatrix
 from holonewt.newton import (
+    MAX_STEP_ENTRIES,
     DegenerateStep,
     _node_blocks,
     backward_tables,
+    check_step_size,
     hessian_pair,
     layer_step,
     newton_update,
@@ -492,3 +494,43 @@ def test_layer_step_keeps_reference_bits(widths, act, n_samples, seed):
                 if p < t.n_layers:
                     assert got[1] is buffers[p - 1][0] and got[2] is buffers[p - 1][1]
                 upper = ref
+
+
+@pytest.mark.parametrize(
+    "widths, n_samples",
+    [
+        ((2, 4, 1), 4),
+        ((4, 16, 16, 4), 32),
+        ((8, 32, 32, 8), 32),
+        ((4, 6, 3), 8),
+        ((2**8, 2**8), 1),
+    ],
+)
+def test_step_size_admits_the_nets_in_use(widths, n_samples):
+    """8-32-32-8 on 32 samples needs 32 * 32**2 = 32,768 entries, and a
+    256-256 layer's stack exactly MAX_STEP_ENTRIES."""
+    topology = NetworkTopology(widths, ("taylor3",) * (len(widths) - 1))
+    check_step_size(topology, n_samples)
+
+
+@pytest.mark.parametrize(
+    "widths, n_samples, message",
+    [
+        # 983,070 weights, under the weight cap; 990**3 entries, 15.5 GB
+        ((2, 990, 990, 1), 4, "layer 2 of topology (2, 990, 990, 1) needs a node-block stack of 970299000"),
+        # 4 * 2**2 entries per stack, but 16 more than the cap per table
+        ((2, 4, 1), 2**20 + 1, "layer 1 of topology (2, 4, 1) needs a table buffer of 16777232"),
+        # the (N, 4, 5000) scratch of the hidden layer's products
+        ((2, 4, 5000), 1024, "layer 1 of topology (2, 4, 5000) needs a table buffer of 20480000"),
+        ((2**8, 2**8 + 1), 1, "layer 1 of topology (256, 257) needs a node-block stack of 16842752"),
+    ],
+)
+def test_step_size_refuses_an_array_past_the_cap(widths, n_samples, message):
+    topology = NetworkTopology(widths, ("taylor3",) * (len(widths) - 1))
+    with pytest.raises(ValueError) as info:
+        check_step_size(topology, n_samples)
+    assert str(info.value).startswith(message)
+    assert str(info.value).endswith(
+        f"entries for a Newton-type step on {n_samples} samples, above the cap of {MAX_STEP_ENTRIES}"
+    )
+

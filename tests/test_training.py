@@ -400,6 +400,30 @@ def test_train_rejects_a_target_width_that_is_not_the_output_width(targets):
         train(t, Dataset(XOR_INPUTS, targets), PSEUDO, seed=0)
 
 
+@pytest.mark.parametrize("method", ["newton", "pseudo_newton"])
+def test_train_refuses_a_step_too_large_before_any_draw(monkeypatch, method):
+    """The layer-2 node-block stack of a 2-990-990-1 net would hold
+    990**3 entries; the run is refused before a weight is drawn."""
+    from holonewt import training
+
+    def no_draws(*args):
+        raise AssertionError("weights drawn")
+
+    monkeypatch.setattr(training, "init_weights", no_draws)
+    t = NetworkTopology((2, 990, 990, 1), ("taylor3",) * 3)
+    config = TrainConfig(method=method, step=PSEUDO.step)
+    with pytest.raises(ValueError, match="layer 2 .* node-block stack of 970299000 entries"):
+        train(t, xor(), config, seed=0)
+
+
+def test_gradient_descent_is_not_held_to_the_step_size():
+    """Gradient descent builds neither a node-block stack nor a table, so
+    a net whose layer-2 stack would hold 300**3 entries still trains."""
+    t = NetworkTopology((2, 300, 300, 1), ("taylor3",) * 3)
+    config = TrainConfig(method="gradient_descent", step=StepConfig(mode="constant"), max_iters=1)
+    assert train(t, xor(), config, seed=0).iterations <= 1
+
+
 class TestRunTrials:
     def test_single_trial_aggregation(self):
         stats, records = run_trials(xor_topology(), xor(), PSEUDO, 1, base_seed=42)
